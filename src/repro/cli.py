@@ -16,7 +16,7 @@ Commands:
   memory, and serve a request set from ``--workers`` suggest processes
   (zero-copy scale-out; reports per-worker throughput and memory); with
   ``--listen HOST:PORT`` it instead serves HTTP through the async
-  micro-batching front-end until SIGINT/SIGTERM.
+  front-end until SIGINT/SIGTERM.
 
 Every command is deterministic given ``--seed``.
 """
@@ -196,11 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve over HTTP instead of replaying a request "
                             "set: bind the async front-end here (e.g. "
                             "127.0.0.1:8080) and run until SIGINT/SIGTERM")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="micro-batch accumulation window of the HTTP "
-                            "front-end (0 = no waiting)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="dispatch an HTTP micro-batch early at this size")
+                       help="most queued HTTP requests one dispatch to the "
+                            "pool takes")
     serve.add_argument("--deadline-ms", type=float, default=1000.0,
                        help="default per-request deadline of the HTTP "
                             "front-end (504 past it)")
@@ -715,7 +713,6 @@ def _serve_http(pool, registry, listen, args: argparse.Namespace) -> int:
 
     try:
         frontend_config = FrontendConfig(
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             default_deadline_ms=args.deadline_ms,
             shed_rerank_depth=args.shed_rerank_depth,

@@ -13,6 +13,15 @@ concurrently from the worker pool behind ``Suggester.suggest_batch``.
 Entry construction is deterministic, so two threads racing on the same key
 build identical entries and the loser's work is simply discarded.
 
+Each entry also carries a **ranking memo** (``CompactEntry.rankings``):
+the full-service, context-free Algorithm 1 output computed on it, so a
+repeated bare query skips the Eq. 15 solve and the hitting-time walk on
+a cache hit.  The memo has two slots, keyed by whether the input query
+is in the graph, so its size never depends on request text.  The memo
+is part of the entry, so every rule below that drops or refuses an
+entry drops its memo too.  Racing writers store identical values (the
+computation is deterministic), so the memo needs no lock of its own.
+
 **Generation invariant.**  Entry builds run outside the lock, so a build
 can straddle an epoch swap: ``get`` snapshots the cache *generation*
 (bumped by every :meth:`CompactCache.rebind` and targeted
@@ -34,8 +43,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.diversify.candidates import DiversifiedSuggestions
 from repro.diversify.cross_bipartite import CrossBipartiteWalker, SwitchMatrix
 from repro.diversify.regularization import RegularizationConfig, RelevanceSolver
 from repro.graphs.compact import CompactConfig, RandomWalkExpander
@@ -178,6 +188,17 @@ class CompactEntry:
         query_set: The neighbourhood as a frozenset — the per-entry
             touched-query index that targeted invalidation intersects
             against.
+        rankings: The ranking memo — the full-service, context-free
+            Algorithm 1 output computed on this entry (see
+            ``PQSDA.diversified_candidates``), keyed by whether the input
+            query was in the graph.  ``True`` holds the answer for the
+            one in-graph query whose bare seed set keys this entry;
+            ``False`` is shared by every unseen query whose term backoff
+            lands here, since they share ``F⁰`` (the seed weights are the
+            entry key) and the empty exclusion set and so differ only in
+            their input label.  It lives and dies with the entry, so
+            eviction, invalidation and rebinds drop it together with the
+            matrices it came from.
     """
 
     queries: list[str]
@@ -185,6 +206,9 @@ class CompactEntry:
     solver: RelevanceSolver
     walker: CrossBipartiteWalker
     query_set: frozenset[str] = frozenset()
+    rankings: dict[bool, DiversifiedSuggestions] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class CompactCache:

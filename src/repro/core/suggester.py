@@ -15,7 +15,9 @@ Online (``suggest`` / ``suggest_batch``):
    path, which slices the compact matrices out of the cached full-graph
    structures and reuses whole entries for repeated seed sets;
 2. run Algorithm 1 on the compact matrices — regularized first candidate,
-   cross-bipartite hitting time for the rest (Sec. IV-B/C);
+   cross-bipartite hitting time for the rest (Sec. IV-B/C); a repeated
+   bare (context-free, full-service) query reuses the ranking memoized
+   on its compact entry instead;
 3. score candidates with the user's profile (Eq. 31) and fuse the two
    rankings with Borda (Sec. V-B).
 """
@@ -73,6 +75,15 @@ def head_queries(log: QueryLog, n: int) -> list[str]:
         key=lambda query: (-log.query_frequency(query), query),
     )
     return ranked[:n]
+
+
+def _copied(
+    result: DiversifiedSuggestions, input_query: str
+) -> DiversifiedSuggestions:
+    """A copy of *result* for *input_query* that the caller may mutate."""
+    return DiversifiedSuggestions(
+        list(result.ranking), dict(result.relevance), input_query
+    )
 
 
 class PQSDA(Suggester):
@@ -327,7 +338,9 @@ class PQSDA(Suggester):
         *skip_rerank* is the tier-1 load-shed bypass: the hitting-time
         selection loop is skipped and candidates come back in pure
         Eq. 15 relevance order (see
-        :class:`~repro.core.serving.ShedOptions`).
+        :class:`~repro.core.serving.ShedOptions`).  A repeated
+        full-service request without context is answered from the
+        ranking memo of its compact entry (a fresh copy each time).
         """
         if self._epochs is None:
             return self._diversified(
@@ -349,18 +362,38 @@ class PQSDA(Suggester):
         timestamp: float,
         skip_rerank: bool = False,
     ) -> DiversifiedSuggestions:
-        """Algorithm 1 against one consistent representation generation."""
+        """Algorithm 1 against one consistent representation generation.
+
+        A full-service, context-free answer is memoized on the compact
+        entry it was computed from (``CompactEntry.rankings``), keyed by
+        whether the input query is in the graph; a repeat then skips the
+        solve and the walk.  Callers get their own copy, labelled with
+        their own input query, never the memo itself.
+        """
         normalized = normalize_query(query)
-        if normalized in multibipartite:
+        in_graph = normalized in multibipartite
+        if in_graph:
             seeds = self._context_seeds(normalized, context, timestamp)
-            with self._tracer.span("expand"):
-                entry = self._cache.get(
-                    seeds,
-                    self._config.compact,
-                    self._config.diversify.regularization,
-                    expander=expander,
-                )
-            return diversify(
+        elif self._config.term_backoff:
+            seeds = self._backoff_seeds(normalized, multibipartite)
+        else:
+            seeds = {}
+        if not seeds:
+            return DiversifiedSuggestions([], {}, normalized)
+        with self._tracer.span("expand"):
+            entry = self._cache.get(
+                seeds,
+                self._config.compact,
+                self._config.diversify.regularization,
+                expander=expander,
+            )
+        memoize = not context and not skip_rerank
+        if memoize:
+            memo = entry.rankings.get(in_graph)
+            if memo is not None:
+                return _copied(memo, normalized)
+        if in_graph:
+            result = diversify(
                 entry.matrices,
                 normalized,
                 input_timestamp=timestamp,
@@ -371,36 +404,27 @@ class PQSDA(Suggester):
                 tracer=self._tracer,
                 skip_hitting=skip_rerank,
             )
-
-        if not self._config.term_backoff:
-            return DiversifiedSuggestions([], {}, normalized)
-        seeds = self._backoff_seeds(normalized, multibipartite)
-        if not seeds:
-            return DiversifiedSuggestions([], {}, normalized)
-        with self._tracer.span("expand"):
-            entry = self._cache.get(
-                seeds,
-                self._config.compact,
-                self._config.diversify.regularization,
-                expander=expander,
+        else:
+            matrices = entry.matrices
+            f0 = np.zeros(matrices.n_queries)
+            for seed, weight in seeds.items():
+                row = matrices.query_index.get(seed)
+                if row is not None:
+                    f0[row] = weight
+            result = diversify_from_seed_vector(
+                matrices,
+                f0,
+                excluded=set(),
+                input_label=normalized,
+                config=self._config.diversify,
+                solver=entry.solver,
+                walker=entry.walker,
+                tracer=self._tracer,
+                skip_hitting=skip_rerank,
             )
-        matrices = entry.matrices
-        f0 = np.zeros(matrices.n_queries)
-        for seed, weight in seeds.items():
-            row = matrices.query_index.get(seed)
-            if row is not None:
-                f0[row] = weight
-        return diversify_from_seed_vector(
-            matrices,
-            f0,
-            excluded=set(),
-            input_label=normalized,
-            config=self._config.diversify,
-            solver=entry.solver,
-            walker=entry.walker,
-            tracer=self._tracer,
-            skip_hitting=skip_rerank,
-        )
+        if memoize:
+            entry.rankings[in_graph] = _copied(result, normalized)
+        return result
 
     def suggest(
         self,

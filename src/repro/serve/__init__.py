@@ -13,8 +13,8 @@ queries O(1) from the hot table in the parent (profiled requests bypass
 the table — their ranking is Borda-fused per user), and swap matrix and
 profile generations through epoch-consistent handshakes;
 :mod:`repro.serve.frontend` puts an asyncio HTTP/1.1 front-end over the
-pool with micro-batching, per-request deadlines, and depth-driven tiered
-load shedding.  See ``docs/algorithms.md`` ("Scale-out serving",
+pool with dispatch on arrival, per-request deadlines, and depth-driven
+tiered load shedding.  See ``docs/algorithms.md`` ("Scale-out serving",
 "Batched IPC & hot-query fast tier", "Shared profile plane" and "Async
 HTTP front-end") for the layouts and protocols.
 """

@@ -1,4 +1,4 @@
-"""Async HTTP front-end: micro-batching, deadlines, tiered load shedding.
+"""Async HTTP front-end: dispatch on arrival, deadlines, tiered load shedding.
 
 The socket layer of the serving stack (ROADMAP item 1): an
 ``asyncio``-streams HTTP/1.1 server — hand-rolled on the stdlib, no new
@@ -6,15 +6,16 @@ dependency — over a :class:`~repro.serve.pool.SuggestWorkerPool`.  The
 pool is process-parallel but synchronous; this module turns it into an
 online service that answers real sockets under real overload:
 
-Micro-batching
-    Requests land in an asyncio queue; a batcher task accumulates them
-    for a configurable window (``batch_window_ms``, or until
-    ``max_batch``) and dispatches each accumulated batch to
+Dispatch on arrival
+    Requests land in an asyncio queue; a batcher task waits only for the
+    first ticket, then dispatches it together with every ticket already
+    queued behind it (up to ``max_batch``) to
     :meth:`~repro.serve.pool.SuggestWorkerPool.suggest_many` on an
     executor thread **without awaiting it**, so consecutive batches
     overlap — the pool's reply dispatcher correlates them by batch id.
-    One pool call per window amortizes the per-request IPC tax exactly
-    like ``suggest_many`` amortizes the per-request queue hop.
+    Batches form from backlog, never from a timer: an idle server adds
+    no wait, and a loaded one still amortizes the per-request IPC tax
+    over every ticket that queued up meanwhile.
 
 Admission control and shed tiers
     Every request is admitted at a *shed tier* chosen from the live
@@ -87,7 +88,7 @@ __all__ = [
     "tier_for_depth",
 ]
 
-#: Batch-size histogram bounds (requests per dispatched micro-batch).
+#: Batch-size histogram bounds (requests per dispatched batch).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: Hard cap on an HTTP request body (bytes) — requests are tiny JSON.
@@ -99,6 +100,8 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -110,10 +113,7 @@ class FrontendConfig:
     """Tuning of the HTTP front-end.
 
     Attributes:
-        batch_window_ms: Micro-batch accumulation window.  ``0`` disables
-            waiting — each batch takes whatever is already queued.
-        max_batch: Dispatch a batch early once it holds this many
-            requests.
+        max_batch: Most requests one dispatch takes off the queue.
         default_deadline_ms: Per-request deadline when the request does
             not carry ``deadline_ms`` itself.
         shed_rerank_depth: Per-worker queue depth at which tier 1 starts
@@ -126,7 +126,6 @@ class FrontendConfig:
             bound on concurrently in-flight pool batches.
     """
 
-    batch_window_ms: float = 2.0
     max_batch: int = 64
     default_deadline_ms: float = 1000.0
     shed_rerank_depth: float = 4.0
@@ -135,8 +134,6 @@ class FrontendConfig:
     max_dispatchers: int = 4
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.default_deadline_ms <= 0:
@@ -189,11 +186,20 @@ class _Ticket:
 
 
 async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
-    """Parse one HTTP/1.1 request off *reader* (``None`` on clean EOF)."""
+    """Parse one HTTP/1.1 request off *reader* (``None`` on clean EOF).
+
+    Malformed framing raises :class:`_BadRequest`, which the connection
+    handler answers with a 4xx JSON reply and ``Connection: close``: a
+    line longer than the stream's limit (asyncio's 64 KiB default), a
+    ``Content-Length`` that is not a plain decimal, or a request target
+    ``urlsplit`` rejects.
+    """
     try:
         line = await reader.readline()
-    except (ValueError, ConnectionError):
+    except ConnectionError:
         return None
+    except ValueError:  # the line overran the stream limit
+        raise _BadRequest("request line too long", status=414) from None
     if not line or line in (b"\r\n", b"\n"):
         return None
     try:
@@ -202,18 +208,27 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
         raise _BadRequest("malformed request line") from None
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise _BadRequest("header line too long", status=431) from None
         if not raw:
             return None
         if raw in (b"\r\n", b"\n"):
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest(f"bad Content-Length {declared!r}")
+    length = int(declared)
     if length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large", status=413)
     body = await reader.readexactly(length) if length else b""
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:
+        raise _BadRequest("malformed request target") from None
     keep_alive = headers.get("connection", "").lower() != "close" and (
         version.upper() != "HTTP/1.0"
         or headers.get("connection", "").lower() == "keep-alive"
@@ -455,7 +470,7 @@ class SuggestFrontend:
             deadline_ms = float(deadline_ms) if deadline_ms is not None else None
         except (TypeError, ValueError) as exc:
             raise _BadRequest(f"bad numeric parameter: {exc}") from None
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not deadline_ms > 0:  # NaN too
             raise _BadRequest("deadline_ms must be positive")
         user = one("user") or one("user_id")
         try:
@@ -478,7 +493,7 @@ class SuggestFrontend:
     async def _suggest_post(self, body: bytes) -> tuple[int, bytes, str]:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # nesting past the stack
             return 400, json.dumps({"error": "body is not JSON"}).encode(), \
                 "application/json"
         if isinstance(payload, dict) and "requests" in payload:
@@ -580,33 +595,17 @@ class SuggestFrontend:
         }
 
     async def _batch_loop(self) -> None:
-        """Accumulate tickets for one window, dispatch, repeat.
+        """Wait for a ticket, dispatch it with the backlog behind it, repeat.
 
-        Dispatch is fire-and-forget (a task per batch): the next window
-        starts accumulating immediately, so batches overlap in the pool
+        Dispatch is fire-and-forget (a task per batch): the loop goes
+        straight back to the queue, so batches overlap in the pool
         exactly as concurrent ``suggest_many`` callers do.
         """
-        window = self._config.batch_window_ms / 1000.0
+        max_batch = self._config.max_batch
         while True:
             batch = [await self._queue.get()]
-            if window > 0:
-                window_end = self._loop.time() + window
-                while len(batch) < self._config.max_batch:
-                    timeout = window_end - self._loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), timeout)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            else:
-                while (
-                    len(batch) < self._config.max_batch
-                    and not self._queue.empty()
-                ):
-                    batch.append(self._queue.get_nowait())
+            while len(batch) < max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             self._m_batches.inc()
             self._m_batch_size.observe(len(batch))
             task = self._loop.create_task(self._dispatch(batch))
@@ -614,7 +613,7 @@ class SuggestFrontend:
             task.add_done_callback(self._dispatches.discard)
 
     async def _dispatch(self, batch: list[_Ticket]) -> None:
-        """Send one micro-batch through the pool on an executor thread."""
+        """Send one batch through the pool on an executor thread."""
         pool = self._pool
 
         def call() -> tuple[list[_Ticket], object]:

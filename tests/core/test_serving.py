@@ -1,5 +1,8 @@
-"""Tests for the serving fast path: CompactCache, batching, cold vs warm."""
+"""Tests for the serving fast path: CompactCache, ranking memo, batching."""
 
+import itertools
+import string
+import sys
 import time
 
 import pytest
@@ -12,9 +15,13 @@ from repro.diversify.regularization import RegularizationConfig
 from repro.graphs.compact import CompactConfig
 from repro.graphs.multibipartite import build_multibipartite
 from repro.graphs.compact import RandomWalkExpander
+from repro.logs.schema import QueryRecord
 from repro.logs.sessionizer import sessionize
+from repro.obs.registry import MetricsRegistry
+from repro.personalize.upm import UPMConfig
 from repro.synth.generator import GeneratorConfig, generate_log
 from repro.synth.world import make_world
+from repro.utils.text import normalize_query, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +187,179 @@ class TestCacheKey:
             CompactConfig(size=50),
             RegularizationConfig(alphas={"U": 2.0, "S": 1.0, "T": 1.0}),
         )
+
+
+#: Personalized twin of ``_build``'s config: same serving pipeline, tiny UPM.
+PERSONAL_CONFIG = PQSDAConfig(
+    compact=CompactConfig(size=60),
+    diversify=DiversifyConfig(k=8, candidate_pool=15),
+    upm=UPMConfig(n_topics=4, iterations=8, hyperopt_every=0, seed=0),
+    personalize=True,
+    cache_size=64,
+)
+
+
+def _twin(suggester):
+    """A cold copy of *suggester*: same graph and profiles, empty cache."""
+    return PQSDA(
+        suggester.representation,
+        suggester.expander,
+        suggester.profiles,
+        suggester.config,
+    )
+
+
+def _entry(suggester, query):
+    """The cached compact entry a bare *query* is served from."""
+    return suggester.serving_cache.get(
+        {normalize_query(query): 1.0},
+        suggester.config.compact,
+        suggester.config.diversify.regularization,
+    )
+
+
+class TestRankingMemo:
+    """Context-free full-service rankings are memoized on their entry."""
+
+    @pytest.fixture(scope="class")
+    def personal(self, synthetic_log):
+        return PQSDA.build(synthetic_log, config=PERSONAL_CONFIG)
+
+    @pytest.fixture(scope="class")
+    def grid(self, synthetic_log, personal):
+        """Requests across query kind, k, user, shed tier and context."""
+        probes = _probe_queries(synthetic_log, n=3)
+        backoff = probes[0].split()[0] + " zzunseen"
+        no_match = "qqzz unmatched xxvv"
+        assert normalize_query(backoff) not in personal.representation
+        assert personal.diversified_candidates(backoff).ranking
+        assert not personal.diversified_candidates(no_match).ranking
+        k_default = PERSONAL_CONFIG.diversify.k
+        profiled = personal.profiles.user_ids[0]
+        context = (QueryRecord("ctx", probes[-1], timestamp=50.0),)
+        return [
+            {
+                "query": query,
+                "k": k,
+                "user_id": user,
+                "shed": shed,
+                "context": ctx,
+                "timestamp": 100.0,
+            }
+            for query, k, user, shed, ctx in itertools.product(
+                [*probes, backoff, no_match],
+                [k_default - 3, k_default, k_default + 4],
+                [None, profiled],
+                [0, 1, 2],
+                [(), context],
+            )
+        ]
+
+    def test_memo_hits_equal_cold_answers(self, personal, grid):
+        cold = [_twin(personal).suggest(**request) for request in grid]
+        assert any(cold)
+        warm = _twin(personal)
+        warm.attach_metrics(MetricsRegistry())
+        for _ in range(2):  # the second pass answers from the memo
+            for request, want in zip(grid, cold):
+                assert warm.suggest(**request) == want
+        # Now only context-bearing and shed requests still run the solve
+        # (the unmatched query has no neighbourhood to solve on at all).
+        no_match = grid[-1]["query"]
+        for request in grid:
+            warm.suggest(**request)
+            solved = warm.last_trace.find("solve") is not None
+            recomputed = bool(request["context"] or request["shed"])
+            assert solved == (recomputed and request["query"] != no_match)
+
+    def test_rebind_drops_the_memo_of_touched_entries_only(
+        self, synthetic_log
+    ):
+        suggester = _build(synthetic_log)
+        suggester.attach_metrics(MetricsRegistry())
+        probes = _probe_queries(synthetic_log)
+        answers = {query: suggester.suggest(query, k=8) for query in probes}
+        entries = {query: _entry(suggester, query) for query in probes}
+        for query, entry in entries.items():
+            assert list(entry.rankings) == [True]
+        # A touched query inside some neighbourhoods but not all.
+        touched = next(
+            {candidate}
+            for candidate in sorted(
+                set().union(*(e.query_set for e in entries.values()))
+            )
+            if 0 < sum(candidate in e.query_set for e in entries.values())
+            < len(entries)
+        )
+        suggester.rebind_representation(
+            suggester.representation, suggester.expander, touched
+        )
+        for query, before in entries.items():
+            hit = not touched.isdisjoint(before.query_set)
+            after = _entry(suggester, query)
+            assert (after is before) != hit
+            assert (True in after.rankings) != hit
+            assert suggester.suggest(query, k=8) == answers[query]
+            solved = suggester.last_trace.find("solve") is not None
+            assert solved == hit
+
+    def test_threads_share_the_memo_exactly(self, synthetic_log):
+        """More threads than cores, a short switch interval: every answer
+        still equals its cold one and every entry ends up memoized."""
+        suggester = _build(synthetic_log)
+        probes = _probe_queries(synthetic_log)
+        cold = {query: _twin(suggester).suggest(query, k=8) for query in probes}
+        requests = [SuggestRequest(query=q, k=8) for q in probes] * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers = suggester.suggest_batch(requests, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [cold[request.query] for request in requests]
+        for query in probes:
+            assert list(_entry(suggester, query).rankings) == [True]
+
+    def test_unseen_queries_on_one_entry_share_one_memo(self, synthetic_log):
+        """``"<term> <unseen word>"`` backs off to the same seeds whatever
+        the unseen word, so however many such queries arrive their entry
+        holds one memo, and each answer still carries its own label."""
+        suggester = _build(synthetic_log)
+        term = tokenize(_probe_queries(synthetic_log, n=1)[0])[0]
+        unseen = [f"{term} zzunseen{c}" for c in string.ascii_lowercase[:10]]
+        for _ in range(2):
+            for query in unseen:
+                want = _twin(suggester).diversified_candidates(query)
+                assert want.ranking
+                assert want.input_query == normalize_query(query)
+                assert suggester.diversified_candidates(query) == want
+        stats = suggester.cache_stats
+        assert (stats.size, stats.misses) == (1, 1)  # one shared entry
+        seeds = suggester._backoff_seeds(
+            normalize_query(unseen[0]), suggester.representation
+        )
+        entry = suggester.serving_cache.get(
+            seeds,
+            suggester.config.compact,
+            suggester.config.diversify.regularization,
+        )
+        assert list(entry.rankings) == [False]
+
+    def test_mutating_answers_never_changes_the_next(self, synthetic_log):
+        suggester = _build(synthetic_log)
+        first, second = _probe_queries(synthetic_log, n=2)
+        miss = suggester.suggest(first, k=8)
+        want = list(miss)
+        assert want
+        for got in (miss, suggester.suggest(first, k=8)):  # miss, then hit
+            got.reverse()
+            got.append("junk")
+        assert suggester.suggest(first, k=8) == want
+        # diversified_candidates hands out copies too, on a miss and a hit.
+        ranking = _twin(suggester).diversified_candidates(second).ranking
+        assert ranking
+        for _ in range(2):
+            diversified = suggester.diversified_candidates(second)
+            diversified.ranking.clear()
+            diversified.relevance.clear()
+        assert suggester.diversified_candidates(second).ranking == ranking

@@ -26,8 +26,19 @@ def probe_requests(multibipartite):
 
 
 @pytest.fixture(scope="module")
-def expected(single_suggester, probe_requests):
-    return single_suggester.suggest_batch(probe_requests)
+def expected(multibipartite, expander, probe_requests):
+    """Cold single-process answers (a fresh suggester, empty cache)."""
+    cold = PQSDA(multibipartite, expander, None, SERVE_CONFIG)
+    return cold.suggest_batch(probe_requests)
+
+
+def _span_count(snapshot, span):
+    return sum(
+        entry["count"]
+        for entry in snapshot["metrics"]
+        if entry["name"] == "trace.span.seconds"
+        and entry["labels"].get("span") == span
+    )
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -41,9 +52,16 @@ def test_pool_bit_identical_to_single_process(
         n_workers=n_workers,
         prefix=f"t-eq{n_workers}",
     ) as pool:
-        assert pool.suggest_many(probe_requests) == expected
+        # Every query twice in one batch: the repeat is answered from its
+        # worker's ranking memo — still identical.
+        doubled = [request for request in probe_requests for _ in (0, 1)]
+        want = [answer for answer in expected for _ in (0, 1)]
+        assert pool.suggest_many(doubled) == want
+        solves = _span_count(pool.merged_metrics(), "solve")
+        assert 0 < solves <= len(probe_requests)
         # Second pass is served from warm per-worker caches — still identical.
         assert pool.suggest_many(probe_requests) == expected
+        assert _span_count(pool.merged_metrics(), "solve") == solves
 
 
 def test_workers_serve_from_shared_views_not_copies(
