@@ -10,8 +10,8 @@ Commands:
   Prometheus text;
 * ``perplexity`` — run the Fig. 4 protocol for chosen models over a log;
 * ``ingest``   — bootstrap a live suggester from a log prefix, then stream
-  the remainder through the incremental ingestion path (epoch snapshots +
-  targeted cache invalidation) and report throughput;
+  the remainder through the incremental ingestion path (epoch snapshots,
+  each flushing the serving cache) and report throughput;
 * ``serve``    — build the representation once, publish it into shared
   memory, and serve a request set from ``--workers`` suggest processes
   (zero-copy scale-out; reports per-worker throughput and memory); with
@@ -522,7 +522,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     cache = suggester.cache_stats
     print(
         f"cache: {cache.hits} hits, {cache.misses} misses, "
-        f"{cache.invalidations} targeted invalidations"
+        f"{cache.invalidations} invalidated by epoch swaps"
     )
     print(f"[{probe}] before the stream:")
     for rank, suggestion in enumerate(before, start=1):

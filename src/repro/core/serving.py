@@ -22,15 +22,15 @@ is part of the entry, so every rule below that drops or refuses an
 entry drops its memo too.  Racing writers store identical values (the
 computation is deterministic), so the memo needs no lock of its own.
 
-**Generation invariant.**  Entry builds run outside the lock, so a build
-can straddle an epoch swap: ``get`` snapshots the cache *generation*
-(bumped by every :meth:`CompactCache.rebind` and targeted
-:meth:`CompactCache.invalidate`) together with the expander, and an
-entry whose build saw an older generation is served to its own caller
-but **never inserted** — it belongs to a dead epoch and would otherwise
-survive the flush forever (its ``query_set`` can no longer intersect any
-future delta of the new epoch).  Discards are counted in
-``CacheStats.stale_discards``.
+**Bound-expander invariant.**  The cache serves exactly one epoch: the
+expander it is bound to.  :meth:`CompactCache.rebind` moves it onto the
+next epoch and drops every entry, memos included — expansion is a global
+walk over cfiqf weights that every new record rescales, so any epoch can
+change any cached neighbourhood.  ``get`` reads and inserts only for the
+bound expander: a request pinned to any other epoch builds its entry
+without caching it, and a build that straddles a rebind (entry builds
+run outside the lock) is served to its own caller but **never
+inserted**.  Both are counted in ``CacheStats.stale_discards``.
 
 Attach a :class:`~repro.obs.registry.MetricsRegistry` via
 :meth:`CompactCache.attach_metrics` to mirror the counters into the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.diversify.candidates import DiversifiedSuggestions
@@ -146,14 +146,14 @@ class CacheStats:
         evictions: Entries dropped by the LRU size bound.
         size: Entries currently held.
         maxsize: The size bound.
-        invalidations: Entries evicted by targeted invalidation
-            (:meth:`CompactCache.invalidate` / epoch rebinds), i.e. entries
-            whose cached neighbourhood intersected a delta's touched-query
-            set.
-        stale_discards: Entries built concurrently with an epoch swap and
-            therefore discarded instead of inserted (see the generation
-            invariant in the module docstring).  Each discard's lookup is
-            already counted as a miss.
+        invalidations: Entries dropped by epoch rebinds (every
+            :meth:`CompactCache.rebind` flushes the cache).
+        stale_discards: Entries built from an expander other than the
+            bound one — a request pinned to a superseded epoch, or a build
+            that straddled a rebind — and therefore served but not
+            inserted (see the bound-expander invariant in the module
+            docstring).  Each discard's lookup is already counted as a
+            miss.
     """
 
     hits: int
@@ -185,9 +185,6 @@ class CompactEntry:
         matrices: Compact matrices over those queries (sorted row order).
         solver: Prebuilt Eq. 15 solver on ``matrices``.
         walker: Prebuilt cross-bipartite walker on ``matrices``.
-        query_set: The neighbourhood as a frozenset — the per-entry
-            touched-query index that targeted invalidation intersects
-            against.
         rankings: The ranking memo — the full-service, context-free
             Algorithm 1 output computed on this entry (see
             ``PQSDA.diversified_candidates``), keyed by whether the input
@@ -197,15 +194,14 @@ class CompactEntry:
             lands here, since they share ``F⁰`` (the seed weights are the
             entry key) and the empty exclusion set and so differ only in
             their input label.  It lives and dies with the entry, so
-            eviction, invalidation and rebinds drop it together with the
-            matrices it came from.
+            eviction and rebinds drop it together with the matrices it
+            came from.
     """
 
     queries: list[str]
     matrices: BipartiteMatrices
     solver: RelevanceSolver
     walker: CrossBipartiteWalker
-    query_set: frozenset[str] = frozenset()
     rankings: dict[bool, DiversifiedSuggestions] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -241,9 +237,6 @@ class CompactCache:
         self._evictions = 0
         self._invalidations = 0
         self._stale_discards = 0
-        # Bumped by every rebind / targeted invalidation; builds that
-        # straddle a bump are served but never inserted.
-        self._generation = 0
         self.attach_metrics(None)
 
     def attach_metrics(self, registry) -> None:
@@ -263,10 +256,6 @@ class CompactCache:
             "serving.cache.stale_discards"
         )
         self._m_size = registry.gauge("serving.cache.size")
-        self._m_fanout = registry.histogram(
-            "serving.cache.invalidation_fanout",
-            buckets=(0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0),
-        )
         with self._lock:
             self._m_size.set(len(self._entries))
 
@@ -274,12 +263,6 @@ class CompactCache:
     def maxsize(self) -> int:
         """The LRU size bound."""
         return self._maxsize
-
-    @property
-    def generation(self) -> int:
-        """The epoch-swap generation counter (see the module docstring)."""
-        with self._lock:
-            return self._generation
 
     @property
     def stats(self) -> CacheStats:
@@ -301,63 +284,23 @@ class CompactCache:
             self._entries.clear()
             self._m_size.set(0)
 
-    def invalidate(self, queries: Iterable[str]) -> int:
-        """Evict entries whose cached neighbourhood intersects *queries*.
+    def rebind(self, expander: RandomWalkExpander) -> int:
+        """Point the cache at a new epoch's *expander* and flush it.
 
-        The targeted-invalidation contract of the streaming layer: a
-        :class:`~repro.stream.delta.GraphDelta` reports the queries it
-        touched, and only entries that actually cached one of them are
-        rebuilt — everything else survives the epoch swap.  Returns the
-        number of evicted entries (also accumulated in
-        ``CacheStats.invalidations``).
+        Every entry is dropped, ranking memos included: the new epoch's
+        walk weights can move any cached neighbourhood.  Builds still in
+        flight from the previous expander are served but not inserted (see
+        the module docstring).  Returns the number of entries dropped,
+        which also accumulates in ``CacheStats.invalidations``.
         """
-        touched = frozenset(queries)
-        if not touched:
-            return 0
-        with self._lock:
-            self._generation += 1
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if not touched.isdisjoint(entry.query_set)
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._invalidations += len(stale)
-            self._m_size.set(len(self._entries))
-        self._m_invalidations.inc(len(stale))
-        self._m_fanout.observe(len(stale))
-        return len(stale)
-
-    def rebind(
-        self,
-        expander: RandomWalkExpander,
-        touched: Iterable[str] | None = None,
-    ) -> int:
-        """Point the cache at a new epoch's *expander*.
-
-        Future misses build against the new epoch's full-graph structures;
-        existing entries are self-contained slices of their own epoch and
-        keep serving.  With *touched* given, only entries intersecting it
-        are evicted (targeted invalidation); with ``None`` the cache is
-        flushed wholesale.  Either way the generation counter is bumped,
-        so entry builds in flight across the swap are discarded instead
-        of inserted (see the module docstring).  Returns the number of
-        entries dropped.
-        """
-        if touched is None:
-            with self._lock:
-                self._expander = expander
-                self._generation += 1
-                dropped = len(self._entries)
-                self._entries.clear()
-                self._m_size.set(0)
-            self._m_fanout.observe(dropped)
-            return dropped
         with self._lock:
             self._expander = expander
-            self._generation += 1
-        return self.invalidate(touched)
+            dropped = len(self._entries)
+            self._entries.clear()
+            self._invalidations += dropped
+            self._m_size.set(0)
+        self._m_invalidations.inc(dropped)
+        return dropped
 
     def get(
         self,
@@ -368,35 +311,34 @@ class CompactCache:
     ) -> CompactEntry:
         """The entry for *seeds*, building (and caching) it on a miss.
 
-        *expander* overrides the cache's bound expander for this build —
-        the epoch-pinned serving path passes the pinned epoch's expander so
-        a request is served consistently even if a writer publishes a new
-        epoch mid-request.
-
-        The build runs outside the lock; if a :meth:`rebind` or targeted
-        :meth:`invalidate` lands in between (the generation snapshot no
-        longer matches at insert time), the freshly built entry is
-        returned to the caller — it is consistent with the epoch the
-        request started under — but **not** inserted, so a pre-swap entry
-        can never be resurrected past the flush (``stale_discards``
-        counts these).
+        *expander* overrides the bound expander for this request — the
+        epoch-pinned serving path passes the pinned epoch's expander so a
+        request is served consistently even if a writer publishes a new
+        epoch mid-request.  The cache is read and filled only for the
+        bound expander: a request pinned to any other epoch builds its
+        entry and is served it, uncached.  The build runs outside the
+        lock; if a :meth:`rebind` lands in between, the entry is likewise
+        returned to its caller — it is consistent with the epoch the
+        request started under — but **not** inserted (``stale_discards``
+        counts both).
         """
         key = cache_key(seeds, compact, regularization)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                self._m_hits.inc()
-                return entry
+            if expander is None:
+                expander = self._expander
+            if expander is self._expander:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    self._m_hits.inc()
+                    return entry
             self._misses += 1
-            generation = self._generation
-            build_expander = expander if expander is not None else self._expander
         self._m_misses.inc()
-        entry = self._build(seeds, compact, regularization, build_expander)
+        entry = self._build(seeds, compact, regularization, expander)
         evicted = 0
         with self._lock:
-            if self._generation != generation:
+            if expander is not self._expander:
                 self._stale_discards += 1
                 self._m_stale_discards.inc()
                 return entry
@@ -434,5 +376,4 @@ class CompactCache:
             matrices=matrices,
             solver=RelevanceSolver(matrices, regularization),
             walker=CrossBipartiteWalker(matrices, self._switch),
-            query_set=frozenset(chosen),
         )

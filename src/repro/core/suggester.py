@@ -227,44 +227,37 @@ class PQSDA(Suggester):
 
         Adopts the manager's current epoch immediately and subscribes to
         future publishes: each publish atomically swaps the representation
-        and expander and runs targeted cache invalidation against the
-        epoch's touched-query set.  Each request pins one epoch for its
-        whole duration (see :meth:`diversified_candidates`), so concurrent
-        ``suggest_batch`` readers are never blocked — nor served a mix of
-        two generations — by a mid-request publish.
+        and expander and flushes the serving cache.  Each request pins one
+        epoch for its whole duration (see :meth:`diversified_candidates`),
+        so concurrent ``suggest_batch`` readers are never blocked — nor
+        served a mix of two generations — by a mid-request publish.
         """
         self._epochs = manager
         self._apply_epoch(manager.current())
         manager.subscribe(self._apply_epoch)
 
     def _apply_epoch(self, epoch) -> None:
-        """Adopt *epoch* for future requests; invalidate stale cache entries."""
-        self.rebind_representation(
-            epoch.multibipartite, epoch.expander, epoch.touched_queries
-        )
+        """Adopt *epoch* (and any profile generation it carries)."""
+        self.rebind_representation(epoch.multibipartite, epoch.expander)
         if getattr(epoch, "profiles", None) is not None:
             self.rebind_profiles(epoch.profiles)
 
     def rebind_representation(
-        self,
-        multibipartite,
-        expander: RandomWalkExpander,
-        touched_queries=None,
+        self, multibipartite, expander: RandomWalkExpander
     ) -> None:
-        """Swap the serving representation in place.
+        """Swap the serving representation in place and flush the cache.
 
         Future requests expand against *expander* (whose matrices define
-        the new generation); cached compact entries intersecting
-        *touched_queries* are evicted (``None`` flushes wholesale).  This
-        is the single swap point shared by the in-process epoch
-        subscription (:meth:`attach_epochs`) and the cross-process
-        generation handshake of :class:`repro.serve.pool.SuggestWorkerPool`
-        workers — both paths inherit the cache's generation invariant, so
-        entry builds straddling the swap are served but never inserted.
+        the new generation).  This is the single swap point shared by the
+        in-process epoch subscription (:meth:`attach_epochs`) and the
+        cross-process generation handshake of
+        :class:`repro.serve.pool.SuggestWorkerPool` workers — both paths
+        inherit the cache's bound-expander invariant, so entry builds
+        straddling the swap are served but never inserted.
         """
         self._multibipartite = multibipartite
         self._expander = expander
-        self._cache.rebind(expander, touched_queries)
+        self._cache.rebind(expander)
 
     def rebind_profiles(
         self, profiles: UserProfileStore | ArrayProfileStore | None
@@ -275,7 +268,7 @@ class PQSDA(Suggester):
         keep the store they looked up at entry (stores are immutable —
         feedback folds produce new ones).  This is the swap point shared
         by the in-process epoch subscription (epochs carrying a folded
-        profile generation) and the worker-side ``pswap`` handshake of
+        profile generation) and the worker-side ``gen`` handshake of
         :class:`repro.serve.pool.SuggestWorkerPool`.
         """
         self._profiles = profiles

@@ -38,7 +38,7 @@ class MultiBipartite:
         for bipartite in self._bipartites.values():
             all_queries.update(bipartite.queries)
         self._queries = sorted(all_queries)
-        self._query_set = frozenset(all_queries)
+        self._members = frozenset(all_queries)
 
     def bipartite(self, kind: str) -> Bipartite:
         """The bipartite of *kind* (``"U"``, ``"S"`` or ``"T"``)."""
@@ -60,7 +60,7 @@ class MultiBipartite:
         return len(self._queries)
 
     def __contains__(self, query: str) -> bool:
-        return normalize_query(query) in self._query_set
+        return normalize_query(query) in self._members
 
     def query_neighbors(self, query: str) -> set[str]:
         """Queries reachable from *query* through any of the bipartites."""

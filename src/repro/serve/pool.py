@@ -67,20 +67,29 @@ Shared profile plane (personalized serving)
     attaches a read-only zero-copy scorer and binds it to its ``PQSDA``,
     so profiled requests come back Borda-fused bit-identically to the
     single-process path while profile bytes exist once per generation.
-    Profile generations swap through the same in-band handshake as the
-    matrix plane (:meth:`~SuggestWorkerPool.publish_profiles`, message
-    kind ``pswap``), and epochs carrying folded click feedback
-    (``epoch.profiles``) republish automatically.
+    The profile segment is part of the generation manifest (below), so
+    an epoch carrying folded click feedback (``epoch.profiles``) moves
+    graph and profiles together in one swap.
 
-Generation handshake (epoch-consistent publication)
-    :meth:`~SuggestWorkerPool.publish_plane` shares the next generation as
-    a fresh segment and sends a swap control message down every worker's
-    *request queue*.  Workers are single-threaded loops, so the swap is
-    processed strictly between requests — no request ever observes half of
-    each generation (torn view).  The publisher unlinks the superseded
-    segment only after every worker acks the swap, so a slow worker can
-    finish in-flight requests against arrays that are guaranteed to stay
-    mapped.  :meth:`~SuggestWorkerPool.attach_epochs` wires this to an
+Generation manifest (epoch-consistent publication)
+    A serving generation is a **manifest**: its graph segment(s) — one
+    segment, or one per shard — plus its profile segment.  Every publish
+    (:meth:`~SuggestWorkerPool.publish_plane`,
+    :meth:`~SuggestWorkerPool.publish_shard`,
+    :meth:`~SuggestWorkerPool.publish_profiles`,
+    :meth:`~SuggestWorkerPool.publish_epoch`) packs only the segments it
+    replaces and goes through one swap path: a single ``gen`` message
+    carrying the next manifest rides every worker's *request queue*.
+    Workers are single-threaded loops, so the message is processed
+    strictly between requests — no request ever observes half of a
+    generation, nor the graph of one generation with the profiles of
+    another.  A worker remaps only the segments whose name changed,
+    flushes its compact cache when the graph changed, and acks once.
+    The publisher unlinks the superseded segments only after every
+    worker acks, so a slow worker can finish in-flight requests against
+    arrays that are guaranteed to stay mapped; a failed swap unlinks the
+    fresh segments instead, and a dead worker fails it within a second,
+    by name.  :meth:`~SuggestWorkerPool.attach_epochs` wires this to an
     :class:`~repro.stream.epoch.EpochManager` publish stream.
 
 Observability
@@ -99,7 +108,8 @@ import threading
 import time
 import traceback
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from collections.abc import Mapping
 from multiprocessing import get_context
 from typing import Sequence
@@ -210,13 +220,19 @@ class _ShardedHotView:
     """Parent-side hot-table lookup composed over per-shard partitions.
 
     Each shard's hot entries live in that shard's segment, so a
-    per-shard swap replaces exactly one partition; lookups route by the
-    plan's home-shard hash like every other request.
+    per-shard swap replaces exactly one partition (:meth:`updated`);
+    lookups route by the plan's home-shard hash like every other request.
     """
 
-    def __init__(self, plan: ShardPlan, tables: dict[int, SharedHotTable]):
+    def __init__(
+        self, plan: ShardPlan, tables: Mapping[int, SharedHotTable | None]
+    ) -> None:
         self._plan = plan
-        self._tables = dict(tables)
+        self._tables = {
+            shard_id: table
+            for shard_id, table in tables.items()
+            if table is not None
+        }
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._tables.values())
@@ -225,11 +241,61 @@ class _ShardedHotView:
         table = self._tables.get(self._plan.shard_of(normalized_query))
         return table.lookup(normalized_query) if table is not None else None
 
-    def replace(self, shard_id: int, table: SharedHotTable | None) -> None:
-        if table is None:
-            self._tables.pop(shard_id, None)
-        else:
-            self._tables[shard_id] = table
+    def updated(
+        self, tables: Mapping[int, SharedHotTable | None]
+    ) -> "_ShardedHotView":
+        """This view with the partitions in *tables* replaced.
+
+        A ``None`` table drops its shard's partition.
+        """
+        return _ShardedHotView(self._plan, {**self._tables, **tables})
+
+
+@dataclass(frozen=True)
+class _Generation:
+    """The parent's state of one serving generation, swapped as a unit.
+
+    ``graph`` (shard id -> segment store; the single-segment plane is
+    shard 0) and ``profiles`` are the generation's **manifest**: the
+    shared-memory segments workers attach.  The other fields are what the
+    parent serves and publishes against while the generation is current.
+    A publish derives the successor with :func:`dataclasses.replace` and
+    commits it with one reference assignment.
+    """
+
+    graph: Mapping[int, SharedMatrixStore | SharedShardStore]
+    profiles: SharedProfileStore | None
+    multibipartite: object
+    slices: Mapping[int, ShardSlice]
+    hot: SharedHotTable | _ShardedHotView | None
+    hot_queries: list[str] | None
+    profiled_users: frozenset[str]
+
+    @property
+    def stores(self) -> list:
+        """Every segment store of the manifest."""
+        stores = list(self.graph.values())
+        if self.profiles is not None:
+            stores.append(self.profiles)
+        return stores
+
+    @property
+    def profile_generation(self) -> int:
+        """Generation of the profile store (0 without profiles)."""
+        return self.profiles.generation if self.profiles is not None else 0
+
+
+def _fresh(generation: _Generation, base: _Generation) -> list:
+    """The segment stores of *generation* that *base* does not hold."""
+    held = base.stores
+    return [store for store in generation.stores if store not in held]
+
+
+def _release(stores) -> None:
+    """Unlink and close publisher-owned segment stores."""
+    for store in stores:
+        store.unlink()
+        store.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,32 +404,59 @@ def _rss_kb() -> int:
     return 0
 
 
+def _remap_graph(plane, old, new, worker_id: int):
+    """Move a worker's graph *plane* from manifest part *old* to *new*.
+
+    Returns the plane to serve from, or ``None`` when no segment name
+    changed.  A sharded generation that replaces only some shards remaps
+    just those in place (per-shard publishes keep each shard's query
+    set, so nothing renumbers); any other change attaches the new
+    generation afresh, and the caller closes the old plane once nothing
+    references it.
+    """
+    if isinstance(new, ShardedPlaneHandle):
+        changed = [
+            meta
+            for shard_id, meta in sorted(new.metas.items())
+            if meta.segment != old.metas[shard_id].segment
+        ]
+        if not changed:
+            return None
+        if len(changed) < len(new.metas):
+            for meta in changed:
+                plane.update_shard(meta)
+            return plane
+    elif new.segment == old.segment:
+        return None
+    return _attach_worker_plane(new, worker_id)
+
+
 def _worker_main(
     worker_id: int,
-    meta,
+    graph,
     profile_meta: SharedProfileMeta | None,
     config: PQSDAConfig,
     request_queue,
     reply_queue,
     ack_queue,
 ) -> None:
-    """One suggest worker: attach, serve, swap on command, report stats.
+    """One suggest worker: attach, serve, move generations, report stats.
 
-    *meta* is either a :class:`~repro.serve.shm.SharedPlaneMeta` (the
+    *graph* and *profile_meta* are the bootstrap manifest.  *graph* is
+    either a :class:`~repro.serve.shm.SharedPlaneMeta` (the
     single-segment plane) or a :class:`ShardedPlaneHandle` (one segment
     per shard; this worker eagerly attaches only its home shards).
 
-    The loop is strictly serial, which is the torn-view guarantee: a swap
-    (matrix, shard or profile) message is only ever handled between two
-    requests, so every request runs start-to-finish against exactly one
-    generation's views.
+    The loop is strictly serial, which is the torn-view guarantee: a
+    ``gen`` message is only ever handled between two requests, so every
+    request runs start-to-finish against exactly one generation's views.
     """
     started = time.perf_counter()
     # multiprocessing children (spawn and fork alike, on POSIX) inherit the
     # publisher's resource_tracker fd, so attach-time registrations land in
     # the publisher's registry where they are idempotent — no untracking.
     attach_start = time.perf_counter()
-    plane = _attach_worker_plane(meta, worker_id)
+    plane = _attach_worker_plane(graph, worker_id)
     profile_plane = (
         AttachedProfilePlane(profile_meta) if profile_meta is not None else None
     )
@@ -377,13 +470,11 @@ def _worker_main(
     requests_served = 0
     busy_seconds = 0.0
     generation = 0
-    profile_generation = (
-        profile_plane.generation if profile_plane is not None else 0
-    )
     ack_queue.put(
         (
             "ready",
             worker_id,
+            0,
             {
                 "pid": os.getpid(),
                 "attach_seconds": attach_seconds,
@@ -423,88 +514,47 @@ def _worker_main(
                 busy_seconds += time.perf_counter() - begin
                 requests_served += len(items)
                 reply_queue.put(("bres", batch_id, worker_id, replies))
-            elif kind == "swap":
-                _, new_meta, new_generation, touched = message
+            elif kind == "gen":
+                # Move onto the next manifest, remapping only the segments
+                # whose name changed; the publisher unlinks the superseded
+                # ones only after every worker's ack.
+                _, new_generation, new_graph, new_profile_meta = message
                 swap_start = time.perf_counter()
                 error = None
                 try:
-                    new_plane = _attach_worker_plane(new_meta, worker_id)
-                    pqsda.rebind_representation(
-                        new_plane.representation, new_plane.expander, touched
-                    )
-                    plane.close()
-                    plane = new_plane
+                    moved = _remap_graph(plane, graph, new_graph, worker_id)
+                    if moved is not None:
+                        pqsda.rebind_representation(
+                            moved.representation, moved.expander
+                        )
+                        if moved is not plane:
+                            plane.close()
+                        plane = moved
+                    graph = new_graph
+                    if new_profile_meta is not None and (
+                        profile_meta is None
+                        or new_profile_meta.segment != profile_meta.segment
+                    ):
+                        new_profile_plane = AttachedProfilePlane(
+                            new_profile_meta
+                        )
+                        profiles = new_profile_plane.store
+                        profiles.attach_metrics(registry)
+                        pqsda.rebind_profiles(profiles)
+                        if profile_plane is not None:
+                            profile_plane.close()
+                        profile_plane = new_profile_plane
+                        profile_meta = new_profile_meta
                     generation = new_generation
                 except Exception:
                     error = traceback.format_exc()
                 ack_queue.put(
                     (
-                        "ack",
+                        "gen",
                         worker_id,
                         new_generation,
                         {
                             "swap_seconds": time.perf_counter() - swap_start,
-                            "error": error,
-                        },
-                    )
-                )
-            elif kind == "sswap":
-                # Per-shard generation swap: only the touched shard's
-                # segment is remapped; every other shard's views — and
-                # the profile plane — stay exactly as they are.  Same
-                # serial-loop torn-view guarantee as a full swap.
-                _, shard_meta, new_generation, touched = message
-                swap_start = time.perf_counter()
-                error = None
-                try:
-                    plane.update_shard(shard_meta)
-                    pqsda.rebind_representation(
-                        plane.representation, plane.expander, touched
-                    )
-                    generation = new_generation
-                except Exception:
-                    error = traceback.format_exc()
-                ack_queue.put(
-                    (
-                        "ack",
-                        worker_id,
-                        new_generation,
-                        {
-                            "swap_seconds": time.perf_counter() - swap_start,
-                            "error": error,
-                        },
-                    )
-                )
-            elif kind == "pswap":
-                # Profile-generation swap: same serial-loop guarantee as a
-                # matrix swap — never observed mid-request, old segment
-                # released only after this ack reaches the publisher.
-                _, new_profile_meta, new_profile_generation = message
-                swap_start = time.perf_counter()
-                error = None
-                try:
-                    new_profile_plane = AttachedProfilePlane(new_profile_meta)
-                    profiles = new_profile_plane.store
-                    profiles.attach_metrics(registry)
-                    pqsda.rebind_profiles(profiles)
-                    if profile_plane is not None:
-                        profile_plane.close()
-                    profile_plane = new_profile_plane
-                    profile_generation = new_profile_generation
-                except Exception:
-                    error = traceback.format_exc()
-                ack_queue.put(
-                    (
-                        "pswap_ack",
-                        worker_id,
-                        new_profile_generation,
-                        {
-                            "swap_seconds": time.perf_counter() - swap_start,
-                            "shares_memory": (
-                                profile_plane.shares_memory()
-                                if profile_plane is not None and error is None
-                                else True
-                            ),
                             "error": error,
                         },
                     )
@@ -537,7 +587,11 @@ def _worker_main(
                             "epoch_id": plane.epoch_id,
                             "rss_kb": _rss_kb(),
                             "shares_memory": plane.shares_memory(),
-                            "profile_generation": profile_generation,
+                            "profile_generation": (
+                                profile_plane.generation
+                                if profile_plane is not None
+                                else 0
+                            ),
                             "profile_users": (
                                 len(profiles) if profiles is not None else 0
                             ),
@@ -673,7 +727,8 @@ class SuggestWorkerPool:
             segment.  (``"fork"`` also works and attaches faster.)
         ready_timeout: Seconds to wait for workers to attach at startup.
         ack_timeout: Seconds to wait for swap acks, batch replies and
-            stats replies.
+            stats replies; a dead worker fails the wait within about a
+            second, by name, whatever the timeout.
         prefix: Shared-memory segment name prefix.
         hot_queries: Head queries to precompute into the shared hot-query
             table (``None``/empty = no hot tier).  Use
@@ -689,9 +744,10 @@ class SuggestWorkerPool:
             bit-identical to unsharded at any shard count; requests route
             by the shard plan composed with the worker stripe, each
             worker eagerly attaches only its home shards, and per-shard
-            epoch publishes (:meth:`publish_shard`) swap exactly one
-            shard's segment.  Requires *multibipartite* (the facet
-            vocabularies make shard slices stitchable).
+            epoch publishes (:meth:`publish_shard`, or
+            :meth:`publish_epoch` with per-shard updates) swap only the
+            touched shards' segments.  Requires *multibipartite* (the
+            facet vocabularies make shard slices stitchable).
         shard_plan: An explicit :class:`~repro.graphs.shard.ShardPlan`
             (e.g. a component-packed plan so walks never spill);
             overrides *n_shards*.
@@ -722,14 +778,11 @@ class SuggestWorkerPool:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._n_workers = n_workers
         self._config = config
-        self._multibipartite = multibipartite
         self._ack_timeout = ack_timeout
         self._prefix = prefix
         self._generation = 0
         self._closed = False
-        self._hot_queries = list(hot_queries) if hot_queries else None
         self._hot_top = hot_top
-        self._hot = None
         self._hot_hits_total = 0
         if shard_plan is None and n_shards > 0:
             shard_plan = ShardPlan.hashed(n_shards)
@@ -759,43 +812,9 @@ class SuggestWorkerPool:
         self._m_workers.set(n_workers)
         self._m_shards = registry.gauge("serve.shard.count")
         self._m_shard_swaps = registry.counter("serve.shard.swaps")
-
-        hot_table = self._compute_hot_table(
-            expander, multibipartite, self._hot_queries
-        )
-        self._store: SharedMatrixStore | None = None
-        self._shard_stores: dict[int, SharedShardStore] = {}
-        self._slices: dict[int, ShardSlice] = {}
         if self._plan is not None:
             self._m_shards.set(self._plan.n_shards)
-            self._slices = build_shard_slices(
-                expander.matrices, self._plan, multibipartite
-            )
-            self._shard_stores = self._publish_shard_stores(
-                self._slices, epoch_id=0, hot_table=hot_table
-            )
-            self._hot = self._verified_shard_hot(self._shard_stores, hot_table)
-        else:
-            self._store = SharedMatrixStore.publish(
-                expander.matrices,
-                expander,
-                multibipartite,
-                epoch_id=0,
-                prefix=prefix,
-                hot_table=hot_table,
-            )
-            self._hot = _verified_hot_table(self._store, hot_table)
-        self._profile_store: SharedProfileStore | None = None
-        self._profile_generation = 0
-        self._profiled_users: frozenset[str] = frozenset()
-        if profiles is not None:
-            arrays = _profile_arrays(profiles)
-            self._profile_store = SharedProfileStore.publish(
-                arrays, prefix=prefix, generation=arrays.generation
-            )
-            self._profile_generation = self._profile_store.generation
-            self._profiled_users = frozenset(arrays.users)
-            self._m_profile_users.set(len(arrays.users))
+
         context = get_context(start_method)
         self._request_queues = [context.Queue() for _ in range(n_workers)]
         self._reply_queue = context.Queue()
@@ -813,18 +832,33 @@ class SuggestWorkerPool:
         self._workers = []
         self._dispatcher_stop = threading.Event()
         self._dispatcher: threading.Thread | None = None
+        self._current = _Generation(
+            graph={},
+            profiles=None,
+            multibipartite=multibipartite,
+            slices={},
+            hot=None,
+            hot_queries=list(hot_queries) if hot_queries else None,
+            profiled_users=frozenset(),
+        )
         try:
+            self._current = self._with_graph(
+                self._current, expander, epoch_id=0
+            )
+            if profiles is not None:
+                arrays = _profile_arrays(profiles)
+                self._current = self._with_profiles(
+                    self._current, arrays, arrays.generation
+                )
+                self._m_profile_users.set(len(arrays.users))
+            graph, profile_meta = self._manifest(self._current)
             for worker_id in range(n_workers):
                 process = context.Process(
                     target=_worker_main,
                     args=(
                         worker_id,
-                        self._plane_payload(),
-                        (
-                            self._profile_store.meta
-                            if self._profile_store is not None
-                            else None
-                        ),
+                        graph,
+                        profile_meta,
                         config,
                         self._request_queues[worker_id],
                         self._reply_queue,
@@ -841,10 +875,12 @@ class SuggestWorkerPool:
                 daemon=True,
             )
             self._dispatcher.start()
-            self._ready_info = self._collect_ready(ready_timeout)
+            self._ready_info = self._collect("ready", 0, ready_timeout)
         except Exception:
             self.close()
             raise
+        for info in self._ready_info.values():
+            self._m_attach.observe(info["attach_seconds"])
 
     def _dispatch_replies(self) -> None:
         """Reply-dispatcher loop: correlate envelopes to pending batches.
@@ -923,20 +959,27 @@ class SuggestWorkerPool:
             ).top(self._config.diversify.k)
         return table or None
 
-    # -- sharded-plane helpers ---------------------------------------------------
+    # -- generation building -----------------------------------------------------
+    #
+    # The _with_* steps run under the control lock (see _publish): each
+    # maps a generation to its successor, packing fresh segments only
+    # for what it replaces.
 
-    def _plane_payload(self):
-        """What a worker attaches: one meta, or one handle over all shards."""
-        if self._plan is not None:
-            return ShardedPlaneHandle(
-                plan=self._plan,
-                metas={
-                    shard_id: store.meta
-                    for shard_id, store in self._shard_stores.items()
-                },
-                n_workers=self._n_workers,
-            )
-        return self._store.meta
+    def _manifest(self, generation: _Generation) -> tuple:
+        """What workers attach for *generation*: (graph part, profile meta)."""
+        store = generation.profiles
+        profiles = store.meta if store is not None else None
+        if self._plan is None:
+            return generation.graph[0].meta, profiles
+        handle = ShardedPlaneHandle(
+            plan=self._plan,
+            metas={
+                shard_id: store.meta
+                for shard_id, store in generation.graph.items()
+            },
+            n_workers=self._n_workers,
+        )
+        return handle, profiles
 
     def _hot_partition(
         self, hot_table: Mapping[str, Sequence[str]] | None, shard_id: int
@@ -956,17 +999,12 @@ class SuggestWorkerPool:
         slices: Mapping[int, ShardSlice],
         epoch_id: int,
         hot_table: Mapping[str, Sequence[str]] | None,
-        multibipartite=None,
+        multibipartite,
     ) -> dict[int, SharedShardStore]:
         """One fresh segment per shard (hot entries partitioned by home)."""
-        representation = (
-            multibipartite
-            if multibipartite is not None
-            else self._multibipartite
-        )
-        term_bipartite = (
-            representation.bipartite("T") if representation is not None else None
-        )
+        term_bipartite = None
+        if multibipartite is not None:
+            term_bipartite = multibipartite.bipartite("T")
         stores: dict[int, SharedShardStore] = {}
         try:
             for shard_id in sorted(slices):
@@ -978,9 +1016,7 @@ class SuggestWorkerPool:
                     hot_table=self._hot_partition(hot_table, shard_id),
                 )
         except Exception:
-            for store in stores.values():
-                store.unlink()
-                store.close()
+            _release(stores.values())
             raise
         for shard_id, store in stores.items():
             self._registry.gauge(
@@ -992,17 +1028,154 @@ class SuggestWorkerPool:
         self,
         stores: Mapping[int, SharedShardStore],
         hot_table: Mapping[str, Sequence[str]] | None,
-    ) -> "_ShardedHotView | None":
-        """Round-trip-verified per-shard hot view (None when no hot tier)."""
-        if not hot_table:
-            return None
-        tables: dict[int, SharedHotTable] = {}
-        for shard_id, store in stores.items():
-            partition = self._hot_partition(hot_table, shard_id)
-            packed = _verified_hot_table(store, partition)
-            if packed is not None:
-                tables[shard_id] = packed
-        return _ShardedHotView(self._plan, tables)
+    ) -> dict[int, SharedHotTable | None]:
+        """Each store's round-trip-verified hot partition (None = empty)."""
+        return {
+            shard_id: _verified_hot_table(
+                store, self._hot_partition(hot_table, shard_id)
+            )
+            for shard_id, store in stores.items()
+        }
+
+    def _with_graph(
+        self,
+        current: _Generation,
+        expander: RandomWalkExpander,
+        multibipartite=None,
+        epoch_id: int | None = None,
+        hot_queries: Sequence[str] | None = None,
+    ) -> _Generation:
+        """*current* with a freshly packed graph plane and hot table.
+
+        *multibipartite* and *hot_queries* default to the current ones,
+        *epoch_id* to the generation being published.  The hot table is
+        precomputed against exactly the plane being packed, packed into
+        the same segment(s) and round-trip verified, so it swaps with the
+        plane and no request ever gets a hot answer from a superseded
+        generation.
+        """
+        if multibipartite is None:
+            multibipartite = current.multibipartite
+        if epoch_id is None:
+            epoch_id = self._generation + 1
+        if hot_queries is None:
+            hot_queries = current.hot_queries
+        else:
+            hot_queries = list(hot_queries)
+        hot_table = self._compute_hot_table(
+            expander, multibipartite, hot_queries
+        )
+        slices: dict[int, ShardSlice] = {}
+        if self._plan is None:
+            store = SharedMatrixStore.publish(
+                expander.matrices,
+                expander,
+                multibipartite,
+                epoch_id=epoch_id,
+                prefix=self._prefix,
+                hot_table=hot_table,
+            )
+            graph = {0: store}
+            hot = _verified_hot_table(store, hot_table)
+        else:
+            slices = build_shard_slices(
+                expander.matrices, self._plan, multibipartite
+            )
+            graph = self._publish_shard_stores(
+                slices, epoch_id, hot_table, multibipartite
+            )
+            hot = (
+                _ShardedHotView(
+                    self._plan, self._verified_shard_hot(graph, hot_table)
+                )
+                if hot_table
+                else None
+            )
+        return replace(
+            current,
+            graph=graph,
+            multibipartite=multibipartite,
+            slices=slices,
+            hot=hot,
+            hot_queries=hot_queries,
+        )
+
+    def _with_shards(
+        self,
+        current: _Generation,
+        updates: Mapping[int, ShardSlice],
+        epoch_id: int | None = None,
+        multibipartite=None,
+    ) -> _Generation:
+        """*current* with the shards in *updates* repacked, the rest kept.
+
+        Per-shard updates must keep each shard's query set: new queries
+        renumber the global ordinal space, so deltas carrying them take a
+        full graph publish instead.  The updated shards' hot entries are
+        recomputed against the updated plane, so a hot hit can never
+        disagree with the worker path.
+        """
+        if self._plan is None:
+            raise RuntimeError("pool is not sharded; use publish_plane")
+        for shard_id, piece in updates.items():
+            known = current.slices.get(shard_id)
+            if known is None or known.queries != piece.queries:
+                raise ValueError(
+                    "per-shard publish cannot change the shard's query set; "
+                    "publish a full plane instead"
+                )
+        if multibipartite is None:
+            multibipartite = current.multibipartite
+        if epoch_id is None:
+            epoch_id = self._generation + 1
+        slices = {**current.slices, **updates}
+        homed = [
+            query
+            for query in current.hot_queries or ()
+            if self._plan.shard_of(query) in updates
+        ]
+        hot_table = (
+            self._compute_hot_table(
+                ShardedExpander(self._plan, slices=slices),
+                multibipartite,
+                homed,
+            )
+            if homed
+            else None
+        )
+        fresh = self._publish_shard_stores(
+            updates, epoch_id, hot_table, multibipartite
+        )
+        hot = current.hot
+        if isinstance(hot, _ShardedHotView):
+            hot = hot.updated(self._verified_shard_hot(fresh, hot_table))
+        return replace(
+            current,
+            graph={**current.graph, **fresh},
+            multibipartite=multibipartite,
+            slices=slices,
+            hot=hot,
+        )
+
+    def _with_profiles(
+        self,
+        current: _Generation,
+        arrays: ProfileArrays,
+        generation: int | None = None,
+    ) -> _Generation:
+        """*current* with *arrays* packed as its profile plane.
+
+        *generation* defaults to the one after the current profile
+        generation.
+        """
+        if generation is None:
+            generation = current.profile_generation + 1
+        store = SharedProfileStore.publish(
+            arrays, prefix=self._prefix, generation=generation
+        )
+        return replace(
+            current, profiles=store, profiled_users=frozenset(arrays.users)
+        )
 
     def _check_workers_alive(self) -> None:
         dead = [
@@ -1013,28 +1186,36 @@ class SuggestWorkerPool:
         if dead:
             raise RuntimeError(f"worker process died: {', '.join(dead)}")
 
-    def _collect_ready(self, timeout: float) -> dict[int, dict]:
+    def _collect(self, kind: str, tag: int, timeout: float) -> dict[int, dict]:
+        """One ``(kind, tag)`` reply per worker from the ack queue.
+
+        The pool's one reply-collection loop (start-up ``ready``, ``gen``
+        acks and ``stats`` replies).  It waits in slices of at most a
+        second and checks worker liveness between slices, so a dead
+        worker raises a ``RuntimeError`` naming it within about a second
+        instead of stalling the caller for the whole *timeout*.  Replies
+        with another kind or tag (late ones from an earlier, failed
+        round) are dropped.
+        """
         deadline = time.monotonic() + timeout
-        ready: dict[int, dict] = {}
-        while len(ready) < self._n_workers:
+        replies: dict[int, dict] = {}
+        while len(replies) < self._n_workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
-                    f"only {len(ready)}/{self._n_workers} workers attached "
-                    f"within {timeout:.0f}s"
+                    f"only {len(replies)}/{self._n_workers} workers replied "
+                    f"to {kind} {tag} within {timeout:.0f}s"
                 )
             try:
-                kind, worker_id, info = self._ack_queue.get(
+                got_kind, worker_id, got_tag, payload = self._ack_queue.get(
                     timeout=min(remaining, 1.0)
                 )
             except queue_module.Empty:
                 self._check_workers_alive()
                 continue
-            if kind != "ready":  # pragma: no cover - defensive
-                continue
-            ready[worker_id] = info
-            self._m_attach.observe(info["attach_seconds"])
-        return ready
+            if got_kind == kind and got_tag == tag:
+                replies[worker_id] = payload
+        return replies
 
     # -- properties --------------------------------------------------------------
 
@@ -1045,7 +1226,7 @@ class SuggestWorkerPool:
 
     @property
     def generation(self) -> int:
-        """Current plane generation (bumped by each publish)."""
+        """Current generation (bumped by each publish)."""
         return self._generation
 
     @property
@@ -1058,26 +1239,29 @@ class SuggestWorkerPool:
         """The shard plan (``None`` when serving the unsharded plane)."""
         return self._plan
 
+    def _shard_stores(self) -> list:
+        """Sorted ``(shard id, store)`` pairs (empty when unsharded)."""
+        if self._plan is None:
+            return []
+        return sorted(self._current.graph.items())
+
     @property
     def segment_name(self) -> str:
         """Name of the current generation's segment (shard 0 if sharded)."""
-        if self._store is not None:
-            return self._store.segment_name
-        return self._shard_stores[min(self._shard_stores)].segment_name
+        graph = self._current.graph
+        return graph[min(graph)].segment_name
 
     @property
     def segment_bytes(self) -> int:
         """Bytes of the current shared segment(s), summed across shards."""
-        if self._store is not None:
-            return self._store.total_bytes
-        return sum(store.total_bytes for store in self._shard_stores.values())
+        return sum(store.total_bytes for store in self._current.graph.values())
 
     @property
     def shard_segment_bytes(self) -> dict[int, int]:
         """Per-shard segment sizes (empty when unsharded)."""
         return {
             shard_id: store.total_bytes
-            for shard_id, store in sorted(self._shard_stores.items())
+            for shard_id, store in self._shard_stores()
         }
 
     @property
@@ -1085,7 +1269,7 @@ class SuggestWorkerPool:
         """Per-shard epoch ordinals (empty when unsharded)."""
         return {
             shard_id: store.meta.epoch_id
-            for shard_id, store in sorted(self._shard_stores.items())
+            for shard_id, store in self._shard_stores()
         }
 
     @property
@@ -1108,7 +1292,7 @@ class SuggestWorkerPool:
     @property
     def hot_entries(self) -> int:
         """Entries in the current generation's hot table (0 = tier off)."""
-        hot = self._hot
+        hot = self._current.hot
         return len(hot) if hot is not None else 0
 
     @property
@@ -1119,28 +1303,28 @@ class SuggestWorkerPool:
     @property
     def serves_profiles(self) -> bool:
         """Whether a shared profile plane is attached to the workers."""
-        return self._profile_store is not None
+        return self._current.profiles is not None
 
     @property
     def profile_generation(self) -> int:
         """Current profile generation (bumped by each profile publish)."""
-        return self._profile_generation
+        return self._current.profile_generation
 
     @property
     def profile_users(self) -> int:
         """Profiled users in the current profile generation."""
-        return len(self._profiled_users)
+        return len(self._current.profiled_users)
 
     @property
     def profile_segment_name(self) -> str | None:
         """Name of the current profile segment (``None`` without profiles)."""
-        store = self._profile_store
+        store = self._current.profiles
         return store.segment_name if store is not None else None
 
     @property
     def profile_segment_bytes(self) -> int:
         """Bytes of the current profile segment (0 without profiles)."""
-        store = self._profile_store
+        store = self._current.profiles
         return store.total_bytes if store is not None else 0
 
     # -- construction helpers ----------------------------------------------------
@@ -1187,7 +1371,9 @@ class SuggestWorkerPool:
             self._plan.n_shards,
         )
 
-    def _personalizes(self, user_id: str | None) -> bool:
+    def _personalizes(
+        self, user_id: str | None, profiled_users: frozenset[str]
+    ) -> bool:
         """Whether workers would Borda-fuse a request of *user_id*.
 
         Mirrors the worker-side gate in ``PQSDA.suggest`` exactly
@@ -1198,7 +1384,7 @@ class SuggestWorkerPool:
         return (
             user_id is not None
             and self._config.personalize
-            and user_id in self._profiled_users
+            and user_id in profiled_users
         )
 
     def suggest_many(
@@ -1235,7 +1421,8 @@ class SuggestWorkerPool:
             raise RuntimeError("pool is closed")
         self._m_requests.inc(len(requests))
         results: list = [None] * len(requests)
-        hot = self._hot
+        current = self._current
+        hot = current.hot
         by_worker: dict[int, list[int]] = {}
         hot_hits = 0
         for position, request in enumerate(requests):
@@ -1252,7 +1439,9 @@ class SuggestWorkerPool:
             if (
                 hot is not None
                 and not request.context
-                and not self._personalizes(request.user_id)
+                and not self._personalizes(
+                    request.user_id, current.profiled_users
+                )
             ):
                 ranking = hot.lookup(normalize_query(request.query))
                 if ranking is not None:
@@ -1344,246 +1533,114 @@ class SuggestWorkerPool:
 
     # -- generation handshake ----------------------------------------------------
 
+    def _publish(self, *steps) -> None:
+        """Build the next generation with *steps*; swap every worker onto it.
+
+        The pool's one swap path.  Each step maps the generation being
+        built to its successor (see the ``_with_*`` builders).  One
+        ``gen`` message carrying the resulting manifest goes down every
+        request queue; once every worker has acked, the new generation is
+        committed with one assignment and the superseded segments are
+        unlinked.  If a step, an ack or a worker fails, the fresh
+        segments are unlinked instead and the pool keeps its current
+        generation.
+        """
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        with self._control_lock:
+            current = successor = self._current
+            generation = self._generation + 1
+            try:
+                for step in steps:
+                    successor = step(successor)
+                message = ("gen", generation, *self._manifest(successor))
+                for request_queue in self._request_queues:
+                    request_queue.put(message)
+                acks = self._collect("gen", generation, self._ack_timeout)
+                errors = [
+                    f"worker {worker_id}: {info['error']}"
+                    for worker_id, info in sorted(acks.items())
+                    if info["error"]
+                ]
+                if errors:
+                    raise RuntimeError(
+                        "generation swap failed:\n" + "\n".join(errors)
+                    )
+            except BaseException:
+                _release(_fresh(successor, current))
+                raise
+            # Every worker acked: nobody can still be serving from the
+            # superseded segments, so removing them is safe now and not a
+            # moment before.
+            self._current = successor
+            self._generation = generation
+            _release(_fresh(current, successor))
+            self._m_generations.inc()
+            for info in acks.values():
+                self._m_swap.observe(info["swap_seconds"])
+            if successor.profiles is not current.profiles:
+                self._m_profile_swaps.inc()
+                self._m_profile_users.set(len(successor.profiled_users))
+            swapped = [
+                shard_id
+                for shard_id, store in self._shard_stores()
+                if store is not current.graph[shard_id]
+            ]
+            if len(swapped) < self.n_shards:
+                self._m_shard_swaps.inc(len(swapped))
+                for shard_id in swapped:
+                    self._registry.counter(
+                        "serve.shard.swaps", labels={"shard": str(shard_id)}
+                    ).inc()
+
     def publish_plane(
         self,
         expander: RandomWalkExpander,
         multibipartite=None,
-        touched=None,
         epoch_id: int | None = None,
         hot_queries: Sequence[str] | None = None,
     ) -> None:
-        """Publish the next generation and swap every worker onto it.
+        """Publish the next graph plane and swap every worker onto it.
 
-        Shares *expander*'s matrices as a fresh segment, sends an in-band
-        swap message down each worker's request queue (processed strictly
-        between requests — no torn views), waits for every worker's ack,
-        and only then unlinks the superseded segment.  *touched* flows
-        into each worker's targeted cache invalidation (``None`` flushes
-        the caches wholesale).
-
-        The hot-query table is rebuilt against the new generation —
-        from *hot_queries* when given, else from the pool's stored head
-        list — packed into the new segment, round-trip verified, and
-        swapped in the same reference assignment as the segment, so no
-        request ever gets a hot answer from a superseded generation after
-        the swap completes.
+        Shares *expander*'s matrices as fresh segment(s) and moves every
+        worker onto them through the one generation swap (workers flush
+        their compact caches).  The hot-query table is rebuilt against
+        the new plane — from *hot_queries* when given, else from the
+        pool's current head list — and swaps with it.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        with self._control_lock:
-            generation = self._generation + 1
-            if epoch_id is None:
-                epoch_id = generation
-            publish_multibipartite = (
-                multibipartite
-                if multibipartite is not None
-                else self._multibipartite
+        self._publish(
+            partial(
+                self._with_graph,
+                expander=expander,
+                multibipartite=multibipartite,
+                epoch_id=epoch_id,
+                hot_queries=hot_queries,
             )
-            if hot_queries is not None:
-                hot_queries = list(hot_queries)
-            else:
-                hot_queries = self._hot_queries
-            hot_table = self._compute_hot_table(
-                expander, publish_multibipartite, hot_queries
-            )
-            if self._plan is not None:
-                new_slices = build_shard_slices(
-                    expander.matrices, self._plan, publish_multibipartite
-                )
-                new_stores = self._publish_shard_stores(
-                    new_slices,
-                    epoch_id=epoch_id,
-                    hot_table=hot_table,
-                    multibipartite=publish_multibipartite,
-                )
-                new_hot = self._verified_shard_hot(new_stores, hot_table)
-                payload = ShardedPlaneHandle(
-                    plan=self._plan,
-                    metas={
-                        shard_id: store.meta
-                        for shard_id, store in new_stores.items()
-                    },
-                    n_workers=self._n_workers,
-                )
-                cleanup = list(new_stores.values())
-            else:
-                new_store = SharedMatrixStore.publish(
-                    expander.matrices,
-                    expander,
-                    publish_multibipartite,
-                    epoch_id=epoch_id,
-                    prefix=self._prefix,
-                    hot_table=hot_table,
-                )
-                new_hot = _verified_hot_table(new_store, hot_table)
-                payload = new_store.meta
-                cleanup = [new_store]
-            touched_payload = (
-                frozenset(touched) if touched is not None else None
-            )
-            for request_queue in self._request_queues:
-                request_queue.put(
-                    ("swap", payload, generation, touched_payload)
-                )
-            self._await_swap_acks(generation, cleanup)
-            # Every worker acked: nobody can still be serving from the old
-            # segment(s), so removing them is safe now and not a moment
-            # before.  The hot table swaps with the store: answers served
-            # after this point come from the new generation's entries.
-            if self._plan is not None:
-                old_stores = list(self._shard_stores.values())
-                self._shard_stores = new_stores
-                self._slices = new_slices
-                self._multibipartite = publish_multibipartite
-            else:
-                old_stores = [self._store]
-                self._store = new_store
-            self._hot = new_hot
-            self._hot_queries = hot_queries
-            self._generation = generation
-            self._m_generations.inc()
-            for old_store in old_stores:
-                old_store.unlink()
-                old_store.close()
-
-    def _await_swap_acks(self, generation: int, cleanup: list) -> None:
-        """Collect one ``ack`` per worker for *generation*.
-
-        On timeout or any worker-side error the freshly published
-        store(s) in *cleanup* are unlinked before raising, so a failed
-        publish leaves the pool serving the previous generation with
-        nothing leaked.
-        """
-        acked: set[int] = set()
-        errors: list[str] = []
-        deadline = time.monotonic() + self._ack_timeout
-        while len(acked) < self._n_workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for store in cleanup:
-                    store.unlink()
-                    store.close()
-                raise TimeoutError(
-                    f"only {len(acked)}/{self._n_workers} workers acked "
-                    f"generation {generation} within "
-                    f"{self._ack_timeout:.0f}s"
-                )
-            try:
-                kind, worker_id, gen, info = self._ack_queue.get(
-                    timeout=remaining
-                )
-            except queue_module.Empty:
-                continue
-            if kind != "ack" or gen != generation:  # pragma: no cover
-                continue
-            acked.add(worker_id)
-            if info.get("error"):
-                errors.append(f"worker {worker_id}: {info['error']}")
-            else:
-                self._m_swap.observe(info["swap_seconds"])
-        if errors:
-            for store in cleanup:
-                store.unlink()
-                store.close()
-            raise RuntimeError(
-                "generation swap failed:\n" + "\n".join(errors)
-            )
+        )
 
     def publish_shard(
         self,
         piece: ShardSlice,
-        touched=None,
         epoch_id: int | None = None,
         multibipartite=None,
     ) -> None:
-        """Publish ONE shard's next generation and swap every worker onto it.
+        """Publish ONE shard's next segment and swap every worker onto it.
 
-        The per-shard half of the generation handshake: a delta that
-        touched only shard *piece.shard_id* repacks that shard's segment,
-        sends an ``sswap`` down each worker's request queue (workers
-        remap just that shard — every other shard's views, the hot
-        entries of other shards and the profile plane are untouched), and
-        unlinks the superseded shard segment after all acks.  *touched*
-        drives the workers' targeted cache invalidation exactly like a
-        full publish.
-
-        Per-shard publishes must keep the shard's query set: new queries
+        Only that shard's segment is repacked; workers holding it remap
+        it in place, every other shard's segment, its hot entries and the
+        profile plane stay as they are.  Per-shard publishes must keep the
+        shard's query set (``ValueError`` otherwise): new queries
         renumber the global ordinal space, so deltas carrying them take
-        :meth:`publish_plane` / :meth:`publish_epoch` instead.  The
-        shard's hot entries are recomputed against the updated plane so a
-        hot hit can never disagree with the worker path.
+        :meth:`publish_plane` / :meth:`publish_epoch` instead.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._plan is None:
-            raise RuntimeError("pool is not sharded; use publish_plane")
-        shard_id = piece.shard_id
-        current = self._slices.get(shard_id)
-        if current is not None and current.queries != piece.queries:
-            raise ValueError(
-                "per-shard publish cannot change the shard's query set; "
-                "publish a full plane instead"
-            )
-        with self._control_lock:
-            generation = self._generation + 1
-            if epoch_id is None:
-                epoch_id = generation
-            representation = (
-                multibipartite
-                if multibipartite is not None
-                else self._multibipartite
-            )
-            hot_partition = None
-            if self._hot_queries:
-                homed = [
-                    query
-                    for query in self._hot_queries
-                    if self._plan.shard_of(query) == shard_id
-                ]
-                if homed:
-                    updated = dict(self._slices)
-                    updated[shard_id] = piece
-                    hot_partition = self._compute_hot_table(
-                        ShardedExpander(self._plan, slices=updated),
-                        representation,
-                        homed,
-                    )
-            new_store = SharedShardStore.publish(
-                piece,
+        self._publish(
+            partial(
+                self._with_shards,
+                updates={piece.shard_id: piece},
                 epoch_id=epoch_id,
-                prefix=f"{self._prefix}-s",
-                term_bipartite=(
-                    representation.bipartite("T")
-                    if representation is not None
-                    else None
-                ),
-                hot_table=hot_partition,
+                multibipartite=multibipartite,
             )
-            new_hot = _verified_hot_table(new_store, hot_partition)
-            touched_payload = (
-                frozenset(touched) if touched is not None else None
-            )
-            for request_queue in self._request_queues:
-                request_queue.put(
-                    ("sswap", new_store.meta, generation, touched_payload)
-                )
-            self._await_swap_acks(generation, [new_store])
-            old_store = self._shard_stores[shard_id]
-            self._shard_stores[shard_id] = new_store
-            self._slices[shard_id] = piece
-            if isinstance(self._hot, _ShardedHotView):
-                self._hot.replace(shard_id, new_hot)
-            self._generation = generation
-            self._m_generations.inc()
-            self._m_shard_swaps.inc()
-            self._registry.counter(
-                "serve.shard.swaps", labels={"shard": str(shard_id)}
-            ).inc()
-            self._registry.gauge(
-                "serve.shard.segment_bytes", labels={"shard": str(shard_id)}
-            ).set(new_store.total_bytes)
-            old_store.unlink()
-            old_store.close()
+        )
 
     def publish_profiles(
         self,
@@ -1592,123 +1649,70 @@ class SuggestWorkerPool:
     ) -> None:
         """Publish the next profile generation and swap every worker onto it.
 
-        Same handshake shape as :meth:`publish_plane`, over the profile
-        plane: the new generation is packed into a fresh segment, a
-        ``pswap`` message goes down each worker's request queue (processed
-        strictly between requests — no torn profile views), and the
-        superseded profile segment is unlinked only after every worker
-        acks.  On ack errors or timeout the new segment is unlinked and
-        the pool keeps serving the old generation.
-
-        A pool started without profiles can be upgraded by a first
+        The profile plane is packed into a fresh segment and moved through
+        the one generation swap; the graph segments stay as they are.  A
+        pool started without profiles can be upgraded by a first
         ``publish_profiles`` call (workers bind the store and start
         Borda-fusing profiled requests; *config.personalize* must be on
         for the fusion gate to open).
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        with self._control_lock:
-            if generation is None:
-                generation = self._profile_generation + 1
-            arrays = _profile_arrays(profiles)
-            new_store = SharedProfileStore.publish(
-                arrays, prefix=self._prefix, generation=generation
-            )
-            for request_queue in self._request_queues:
-                request_queue.put(("pswap", new_store.meta, generation))
-            acked: set[int] = set()
-            errors: list[str] = []
-            deadline = time.monotonic() + self._ack_timeout
-            while len(acked) < self._n_workers:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    new_store.unlink()
-                    new_store.close()
-                    raise TimeoutError(
-                        f"only {len(acked)}/{self._n_workers} workers acked "
-                        f"profile generation {generation} within "
-                        f"{self._ack_timeout:.0f}s"
-                    )
-                try:
-                    kind, worker_id, gen, info = self._ack_queue.get(
-                        timeout=remaining
-                    )
-                except queue_module.Empty:
-                    continue
-                if kind != "pswap_ack" or gen != generation:
-                    continue  # pragma: no cover - defensive
-                acked.add(worker_id)
-                if info.get("error"):
-                    errors.append(f"worker {worker_id}: {info['error']}")
-                else:
-                    self._m_swap.observe(info["swap_seconds"])
-            if errors:
-                new_store.unlink()
-                new_store.close()
-                raise RuntimeError(
-                    "profile generation swap failed:\n" + "\n".join(errors)
-                )
-            # Every worker acked: nobody can still be scoring from the
-            # old profile segment, so removing it is safe now.
-            old_store = self._profile_store
-            self._profile_store = new_store
-            self._profile_generation = generation
-            self._profiled_users = frozenset(arrays.users)
-            self._m_profile_swaps.inc()
-            self._m_profile_users.set(len(arrays.users))
-            if old_store is not None:
-                old_store.unlink()
-                old_store.close()
+        arrays = _profile_arrays(profiles)
+        self._publish(
+            partial(self._with_profiles, arrays=arrays, generation=generation)
+        )
 
     def publish_epoch(self, epoch) -> None:
         """Swap the pool onto a streaming :class:`~repro.stream.epoch.Epoch`.
 
-        With ``hot_top`` configured, the head list is re-extracted from
-        the epoch's cumulative log (traffic drifts; yesterday's head is
-        not today's) before the table is rebuilt and swapped.  An epoch
-        carrying a folded profile generation (``epoch.profiles`` — see
-        :class:`repro.stream.ingest.LogIngestor`) additionally rides a
-        profile swap after the matrix swap, so click feedback reaches the
-        workers' scorers through the same epoch machinery.
+        The epoch's graph and the profile generation it may carry
+        (``epoch.profiles`` — see :class:`repro.stream.ingest.LogIngestor`)
+        move in **one** generation swap, so no request is ever ranked
+        against the new graph with the old profiles.  With ``hot_top``
+        configured, the head list is re-extracted from the epoch's
+        cumulative log (traffic drifts; yesterday's head is not today's)
+        before the table is rebuilt.
 
-        Sharded pools take the per-shard fast path when the epoch carries
-        ``shard_updates`` under the same plan (the streaming layer
-        produces them for deltas that add no queries): each touched
-        shard's segment is republished through :meth:`publish_shard` and
-        every untouched shard's segment — and hot partition — survives
-        as-is.  Epochs without per-shard updates (new queries, plan
-        mismatch, unsharded ingestion) fall back to the full swap.
+        Sharded pools repack only the touched shards when the epoch
+        carries ``shard_updates`` under the same plan (the streaming
+        layer produces them for deltas that add no queries); every
+        untouched shard's segment — and hot partition — survives as-is.
+        Epochs without per-shard updates (new queries, plan mismatch,
+        unsharded ingestion) repack the whole graph plane.
         """
         hot_queries = None
         if self._hot_top > 0:
             hot_queries = epoch.head_queries(self._hot_top)
         shard_updates = getattr(epoch, "shard_updates", None)
-        shard_plan = getattr(epoch, "shard_plan", None)
         if (
             self._plan is not None
             and shard_updates is not None
-            and shard_plan == self._plan
+            and getattr(epoch, "shard_plan", None) == self._plan
             and hot_queries is None
         ):
-            for shard_id in sorted(shard_updates):
-                self.publish_shard(
-                    shard_updates[shard_id],
-                    touched=epoch.touched_queries,
+            steps = [
+                partial(
+                    self._with_shards,
+                    updates=shard_updates,
                     epoch_id=epoch.epoch_id,
                     multibipartite=epoch.multibipartite,
                 )
-            self._multibipartite = epoch.multibipartite
+            ]
         else:
-            self.publish_plane(
-                epoch.expander,
-                multibipartite=epoch.multibipartite,
-                touched=epoch.touched_queries,
-                epoch_id=epoch.epoch_id,
-                hot_queries=hot_queries,
-            )
+            steps = [
+                partial(
+                    self._with_graph,
+                    expander=epoch.expander,
+                    multibipartite=epoch.multibipartite,
+                    epoch_id=epoch.epoch_id,
+                    hot_queries=hot_queries,
+                )
+            ]
         profiles = getattr(epoch, "profiles", None)
         if profiles is not None:
-            self.publish_profiles(profiles)
+            steps.append(
+                partial(self._with_profiles, arrays=_profile_arrays(profiles))
+            )
+        self._publish(*steps)
 
     def attach_epochs(self, manager) -> None:
         """Republish to the workers after every epoch-manager publish."""
@@ -1716,38 +1720,20 @@ class SuggestWorkerPool:
 
     # -- introspection -----------------------------------------------------------
 
-    def _collect_stats_payloads(self) -> dict[int, dict]:
-        """One stats round-trip to every worker (serialized by caller)."""
-        token = self._next_token
-        self._next_token += 1
-        for request_queue in self._request_queues:
-            request_queue.put(("stats", token))
-        payloads: dict[int, dict] = {}
-        deadline = time.monotonic() + self._ack_timeout
-        while len(payloads) < self._n_workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"only {len(payloads)}/{self._n_workers} stats replies "
-                    f"within {self._ack_timeout:.0f}s"
-                )
-            try:
-                kind, worker_id, got_token, payload = self._ack_queue.get(
-                    timeout=remaining
-                )
-            except queue_module.Empty:
-                continue
-            if kind != "stats" or got_token != token:  # pragma: no cover
-                continue
-            payloads[worker_id] = payload
-        return payloads
-
-    def stats(self) -> PoolStats:
-        """Live per-worker counters, one round-trip to every worker."""
+    def _stats_payloads(self) -> dict[int, dict]:
+        """One stats round-trip to every worker."""
         if self._closed:
             raise RuntimeError("pool is closed")
         with self._control_lock:
-            payloads = self._collect_stats_payloads()
+            token = self._next_token
+            self._next_token += 1
+            for request_queue in self._request_queues:
+                request_queue.put(("stats", token))
+            return self._collect("stats", token, self._ack_timeout)
+
+    def stats(self) -> PoolStats:
+        """Live per-worker counters, one round-trip to every worker."""
+        payloads = self._stats_payloads()
         workers = tuple(
             WorkerStats(
                 worker_id=worker_id,
@@ -1765,29 +1751,26 @@ class SuggestWorkerPool:
                 rss_kb=payload["rss_kb"],
                 shares_memory=payload["shares_memory"],
                 cache=CacheStats(**payload["cache"]),
-                profile_generation=payload.get("profile_generation", 0),
-                profile_users=payload.get("profile_users", 0),
-                profile_shares_memory=payload.get(
-                    "profile_shares_memory", True
-                ),
-                spill=payload.get("spill"),
+                profile_generation=payload["profile_generation"],
+                profile_users=payload["profile_users"],
+                profile_shares_memory=payload["profile_shares_memory"],
+                spill=payload["spill"],
             )
             for worker_id, payload in sorted(payloads.items())
         )
-        if self._store is not None:
-            epoch_id = self._store.meta.epoch_id
-        else:
-            epoch_id = max(self.shard_epoch_ids.values())
+        current = self._current
         return PoolStats(
             n_workers=self._n_workers,
             generation=self._generation,
-            epoch_id=epoch_id,
+            epoch_id=max(
+                store.meta.epoch_id for store in current.graph.values()
+            ),
             segment_bytes=self.segment_bytes,
             workers=workers,
             hot_entries=self.hot_entries,
             hot_hits=self._hot_hits_total,
-            profile_users=len(self._profiled_users),
-            profile_generation=self._profile_generation,
+            profile_users=len(current.profiled_users),
+            profile_generation=current.profile_generation,
             profile_segment_bytes=self.profile_segment_bytes,
             n_shards=self.n_shards,
             shard_segment_bytes=tuple(self.shard_segment_bytes.values()),
@@ -1802,10 +1785,7 @@ class SuggestWorkerPool:
         the pool's own registry.  Entries are sorted by (name, labels),
         matching :meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        with self._control_lock:
-            payloads = self._collect_stats_payloads()
+        payloads = self._stats_payloads()
         merged: list[dict] = []
         for worker_id, payload in sorted(payloads.items()):
             for entry in payload["snapshot"]["metrics"]:
@@ -1844,15 +1824,7 @@ class SuggestWorkerPool:
         self._dispatcher_stop.set()
         if self._dispatcher is not None and self._dispatcher.is_alive():
             self._dispatcher.join(timeout=5.0)
-        if self._store is not None:
-            self._store.unlink()
-            self._store.close()
-        for store in self._shard_stores.values():
-            store.unlink()
-            store.close()
-        if self._profile_store is not None:
-            self._profile_store.unlink()
-            self._profile_store.close()
+        _release(self._current.stores)
 
     def __enter__(self) -> "SuggestWorkerPool":
         return self

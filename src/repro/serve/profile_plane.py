@@ -38,7 +38,6 @@ publisher's ``multiprocessing`` tree.
 
 from __future__ import annotations
 
-import gc
 import os
 import secrets
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from repro.personalize.profiles import ArrayProfileStore, ProfileArrays
 from repro.serve.shm import (
     _ALIGNMENT,
     _ArraySpec,
+    _close_attached,
     _decode_vocab,
     _encode_vocab,
     _unregister_from_tracker,
@@ -316,19 +316,14 @@ class AttachedProfilePlane:
     def close(self) -> None:
         """Release the mapping (views must no longer be reachable).
 
-        Drops the store reference, collects, then closes; if foreign
-        references still pin the buffer the close is deferred to process
-        exit rather than raising mid-swap.
+        Drops the store reference, then closes (see
+        :func:`repro.serve.shm._close_attached`).
         """
         if self._closed:
             return
         self._closed = True
         self.store = None
-        gc.collect()
-        try:
-            self._segment.close()
-        except BufferError:  # views still referenced elsewhere
-            pass
+        _close_attached(self._segment)
 
 
 def attach_profiles(

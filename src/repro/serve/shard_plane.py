@@ -30,7 +30,6 @@ Lifecycle mirrors the full-plane store: the publisher owns
 
 from __future__ import annotations
 
-import gc
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -45,6 +44,7 @@ from repro.serve.shm import (
     SharedHotTable,
     SharedTermBipartite,
     _ArraySpec,
+    _close_attached,
     _decode_vocab,
     _encode_vocab,
     _hot_table_arrays,
@@ -371,11 +371,7 @@ class AttachedShard:
         self.slice = None
         self.term_bipartite = None
         self.hot_table = None
-        gc.collect()
-        try:
-            self._segment.close()
-        except BufferError:  # views still referenced elsewhere
-            pass
+        _close_attached(self._segment)
 
 
 class ShardedTermBipartite:

@@ -371,6 +371,26 @@ def _unregister_from_tracker(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _close_attached(segment: shared_memory.SharedMemory) -> None:
+    """Close an attacher's mapping once its holder dropped the views.
+
+    Views held without reference cycles die with their last reference, so
+    the close normally succeeds at once; only when the buffer is still
+    pinned does a full collection (tens of milliseconds in a serving
+    worker, paid inside its generation swap) run before one retry.  If
+    foreign references still pin it, the close is deferred to process
+    exit rather than raising mid-swap.
+    """
+    try:
+        segment.close()
+    except BufferError:
+        gc.collect()
+        try:
+            segment.close()
+        except BufferError:  # views still referenced elsewhere
+            pass
+
+
 class SharedMatrixStore:
     """Publisher-side owner of one generation's shared segment.
 
@@ -596,10 +616,10 @@ class SharedRepresentation:
     queries: list[str]
     query_index: dict[str, int]
     term_bipartite: SharedTermBipartite | None = None
-    _query_set: frozenset[str] = field(default=frozenset(), repr=False)
+    _members: frozenset[str] = field(default=frozenset(), repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_query_set", frozenset(self.queries))
+        object.__setattr__(self, "_members", frozenset(self.queries))
 
     @property
     def n_queries(self) -> int:
@@ -607,7 +627,7 @@ class SharedRepresentation:
         return len(self.queries)
 
     def __contains__(self, query: str) -> bool:
-        return normalize_query(query) in self._query_set
+        return normalize_query(query) in self._members
 
     def bipartite(self, kind: str):
         """The shared query-term adapter (only ``"T"`` crosses processes)."""
@@ -743,9 +763,8 @@ class AttachedPlane:
     def close(self) -> None:
         """Release the mapping (views must no longer be reachable).
 
-        Drops this plane's references, collects, then closes; if foreign
-        references still pin the buffer the close is deferred to process
-        exit rather than raising mid-swap.
+        Drops this plane's references, then closes (see
+        :func:`_close_attached`).
         """
         if self._closed:
             return
@@ -754,11 +773,7 @@ class AttachedPlane:
         self.expander = None
         self.representation = None
         self.hot_table = None
-        gc.collect()
-        try:
-            self._segment.close()
-        except BufferError:  # views still referenced elsewhere
-            pass
+        _close_attached(self._segment)
 
 
 def attach(meta: SharedPlaneMeta, untrack: bool = False) -> AttachedPlane:

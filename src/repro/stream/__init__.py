@@ -1,4 +1,4 @@
-"""Streaming log ingestion: incremental updates, epoch snapshots, invalidation.
+"""Streaming log ingestion: incremental updates, epoch snapshots, flushes.
 
 The batch pipeline (``PQSDA.build``) rebuilds the whole multi-bipartite
 representation from scratch; this package keeps a *live* suggester current
@@ -15,9 +15,10 @@ as new log records arrive:
   behind an online cleaning gate.
 
 :func:`streaming_pqsda` wires all of it to a ``PQSDA`` suggester whose
-serving cache is invalidated *targetedly*: after each epoch swap only the
-cached entries whose neighbourhood intersects the delta's touched queries
-are rebuilt.  With ``stream_profiles=True`` the personalization layer
+serving cache is flushed on every epoch swap: expansion is a global walk
+over cfiqf weights that each new record rescales, so any epoch can move
+any cached neighbourhood, and every answer stays exactly the pinned
+epoch's.  With ``stream_profiles=True`` the personalization layer
 streams too: admitted click records fold into new
 :class:`~repro.personalize.profiles.ArrayProfileStore` generations that
 ride each epoch (``Epoch.profiles``) and rebind into the suggester — and,

@@ -63,8 +63,7 @@ class GraphDelta:
     Attributes:
         n_records: Records folded in by this micro-batch.
         touched_queries: Queries that gained an edge or a count increment
-            in *any* bipartite — the set targeted cache invalidation
-            intersects against.
+            in *any* bipartite.
         new_queries: Subset of ``touched_queries`` seen for the first time.
         new_facets: Kind -> facets (URLs / session ids / terms) created by
             this micro-batch.
@@ -99,7 +98,7 @@ class StreamSnapshot:
         matrices: The (cfiqf-weighted) full-graph matrices, incrementally
             patched — bit-identical to ``build_matrices`` over ``log``.
         touched_queries: Union of the applied deltas' touched sets since
-            the previous snapshot (drives targeted cache invalidation).
+            the previous snapshot.
         shard_plan: The state's shard plan (``None`` = unsharded).
         shard_slices: Full per-shard slice set of this epoch under
             ``shard_plan``; unchanged shards are the **same objects** as
@@ -263,7 +262,7 @@ class StreamState:
         self._kinds = {kind: _KindState() for kind in BIPARTITE_KINDS}
         self._open: dict[str, _OpenSession] = {}
         self._queries: list[str] = []  # sorted, as of the last snapshot
-        self._query_set: set[str] = set()
+        self._seen_queries: set[str] = set()
         self._new_queries: set[str] = set()  # since the last snapshot
         self._touched: set[str] = set()  # union across kinds, ditto
         self._snapshots = 0
@@ -311,7 +310,7 @@ class StreamState:
         Runs the online sessionizer, updates the three raw bipartites
         (skipping empty normalized queries, exactly like the batch
         builder), and accumulates the touched/new bookkeeping that
-        :meth:`build_snapshot` and targeted cache invalidation consume.
+        :meth:`build_snapshot` consumes.
         """
         touched: set[str] = set()
         new_queries: set[str] = set()
@@ -323,8 +322,8 @@ class StreamState:
             query = normalize_query(record.query)
             if not query:
                 continue
-            if query not in self._query_set:
-                self._query_set.add(query)
+            if query not in self._seen_queries:
+                self._seen_queries.add(query)
                 new_queries.add(query)
             shard = self._shard_of(query) if self._plan is not None else None
             if record.clicked_url is not None:

@@ -1,4 +1,4 @@
-"""Epoch snapshots: atomic publish, reader pinning, targeted retirement.
+"""Epoch snapshots: atomic publish, reader pinning, retirement.
 
 The streaming writer and the serving readers never share mutable matrix
 state.  Each :class:`Epoch` is an immutable bundle of one
@@ -12,9 +12,11 @@ reader unpins.
 
 Pinning is cheap (one dict increment) and **never blocks a publish**, and
 a publish never blocks readers — the acceptance property the concurrency
-tests exercise.  Cached :class:`~repro.core.serving.CompactEntry` objects
-are self-contained slices, so entries built under a retired epoch remain
-valid until targeted invalidation evicts them.
+tests exercise.  Serving caches serve one epoch each: a subscriber's
+rebind flushes the cache onto the new epoch, and a request still pinned
+to a superseded epoch builds its compact entries uncached (see
+:class:`~repro.core.serving.CompactCache`), so every answer is exactly
+the pinned epoch's.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ class Epoch:
         multibipartite: Representation handle (membership, term backoff).
         matrices: Full-graph matrices of this generation.
         expander: Walk expander bound to ``matrices``.
-        touched_queries: Queries changed relative to the previous epoch —
-            what the serving cache's targeted invalidation consumes.
+        touched_queries: Queries changed relative to the previous epoch
+            (reported by the ingest metrics; the serving cache flushes
+            wholesale on every epoch).
         profiles: New personalization generation riding this epoch, or
             ``None`` when profiles are unchanged.  When set it is an
             :class:`~repro.personalize.profiles.ArrayProfileStore` (click
@@ -57,9 +60,9 @@ class Epoch:
             whose bytes changed since the previous epoch.  ``None``
             forces a full publish (unsharded, bootstrap, or a delta that
             added queries and renumbered global ordinals); a sharded
-            pool consumes a non-``None`` set through
-            :meth:`repro.serve.pool.SuggestWorkerPool.publish_shard`, so
-            untouched shards' segments survive the epoch swap as-is.
+            pool's :meth:`repro.serve.pool.SuggestWorkerPool.publish_epoch`
+            repacks only these shards, so untouched shards' segments
+            survive the epoch swap as-is.
     """
 
     epoch_id: int

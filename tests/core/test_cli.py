@@ -134,7 +134,7 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "epoch 0 published" in out
         assert "records/s" in out
-        assert "targeted invalidations" in out
+        assert "invalidated by epoch swaps" in out
         assert "after the stream" in out
 
     def test_rejects_bad_bootstrap_fraction(self, log_path, capsys):
@@ -256,7 +256,7 @@ class TestMetricsFlow:
         }
         assert "stream.ingest.records_ingested" in names
         assert "stream.epochs.current" in names
-        assert "serving.cache.invalidation_fanout" in names
+        assert "serving.cache.invalidations" in names
 
 
 class TestServe:

@@ -272,36 +272,24 @@ class TestRankingMemo:
             recomputed = bool(request["context"] or request["shed"])
             assert solved == (recomputed and request["query"] != no_match)
 
-    def test_rebind_drops_the_memo_of_touched_entries_only(
-        self, synthetic_log
-    ):
+    def test_rebind_drops_every_memo(self, synthetic_log):
         suggester = _build(synthetic_log)
         suggester.attach_metrics(MetricsRegistry())
         probes = _probe_queries(synthetic_log)
         answers = {query: suggester.suggest(query, k=8) for query in probes}
         entries = {query: _entry(suggester, query) for query in probes}
-        for query, entry in entries.items():
+        for entry in entries.values():
             assert list(entry.rankings) == [True]
-        # A touched query inside some neighbourhoods but not all.
-        touched = next(
-            {candidate}
-            for candidate in sorted(
-                set().union(*(e.query_set for e in entries.values()))
-            )
-            if 0 < sum(candidate in e.query_set for e in entries.values())
-            < len(entries)
-        )
         suggester.rebind_representation(
-            suggester.representation, suggester.expander, touched
+            suggester.representation, suggester.expander
         )
+        stats = suggester.cache_stats
+        assert stats.size == 0
+        assert stats.invalidations == len(entries)
         for query, before in entries.items():
-            hit = not touched.isdisjoint(before.query_set)
-            after = _entry(suggester, query)
-            assert (after is before) != hit
-            assert (True in after.rankings) != hit
             assert suggester.suggest(query, k=8) == answers[query]
-            solved = suggester.last_trace.find("solve") is not None
-            assert solved == hit
+            assert suggester.last_trace.find("solve") is not None
+            assert _entry(suggester, query) is not before
 
     def test_threads_share_the_memo_exactly(self, synthetic_log):
         """More threads than cores, a short switch interval: every answer

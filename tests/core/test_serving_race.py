@@ -1,14 +1,14 @@
-"""CompactCache generation invariant: rebind/get races never resurrect entries.
+"""CompactCache bound-expander invariant: the cache serves one epoch only.
 
-The bug these tests pin: ``get`` builds entries *outside* the lock, so a
-build can start under epoch A, have a ``rebind``/``invalidate`` flush the
-cache mid-build, and then insert an epoch-A entry into the post-flush
-cache — where nothing can ever evict it (its ``query_set`` no longer
-intersects any future delta of the new epoch).  The fix snapshots a
-generation counter at build start and discards (but still serves) the
-entry when the generation moved by insert time.
+``get`` builds entries *outside* the lock, so a build can start under
+epoch A, have a ``rebind`` flush the cache onto epoch B mid-build, and
+then try to insert its epoch-A entry into the epoch-B cache.  The cache
+reads and inserts only for the expander it is bound to, so such a build
+— like any request pinned to a superseded epoch — is served to its own
+caller but never cached.
 """
 
+import sys
 import threading
 
 import pytest
@@ -24,14 +24,23 @@ from repro.synth.world import make_world
 
 
 @pytest.fixture(scope="module")
-def expander():
+def multibipartite():
     world = make_world(seed=0)
     log = generate_log(
         world,
         GeneratorConfig(n_users=20, mean_sessions_per_user=8, seed=7),
     ).log
-    multibipartite = build_multibipartite(log, sessionize(log))
+    return build_multibipartite(log, sessionize(log))
+
+
+@pytest.fixture(scope="module")
+def expander(multibipartite):
     return RandomWalkExpander(multibipartite)
+
+
+def _another_epoch(multibipartite, expander):
+    """A distinct expander over the same matrices (another generation)."""
+    return RandomWalkExpander(multibipartite, matrices=expander.matrices)
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +97,13 @@ class TestDeterministicRace:
         thread, results = self._racing_get(cache, probes[0])
         assert gated.entered.wait(10.0)
         # The epoch swap lands while the build is in flight.
-        cache.rebind(expander, None)
+        cache.rebind(expander)
         gated.release.set()
         thread.join(10.0)
 
         entry = results["entry"]
         assert entry is not None  # the caller is still served
-        assert probes[0] in entry.query_set
+        assert probes[0] in entry.queries
         stats = cache.stats
         assert stats.size == 0  # the stale build was NOT inserted
         assert stats.stale_discards == 1
@@ -103,36 +112,19 @@ class TestDeterministicRace:
         assert stats.lookups == 1
         # A fresh lookup misses again and builds under the new epoch.
         rebuilt = cache.get({probes[0]: 1.0}, COMPACT, REG)
-        assert rebuilt.query_set == entry.query_set
+        assert rebuilt.queries == entry.queries
         assert cache.stats.size == 1
         assert cache.stats.stale_discards == 1
 
-    def test_build_straddling_targeted_invalidate_is_discarded(
-        self, expander, probes
-    ):
-        gated = _GatedExpander(expander)
-        cache = CompactCache(gated, maxsize=8)
-        thread, results = self._racing_get(cache, probes[0])
-        assert gated.entered.wait(10.0)
-        cache.invalidate([probes[0]])
-        gated.release.set()
-        thread.join(10.0)
-        assert results["entry"] is not None
+    def test_rebind_flushes_and_counts_every_entry(self, expander, probes):
+        cache = CompactCache(expander, maxsize=8)
+        for query in probes[:5]:
+            cache.get({query: 1.0}, COMPACT, REG)
+        assert cache.rebind(expander) == 5
         assert cache.stats.size == 0
-        assert cache.stats.stale_discards == 1
-
-    def test_generation_bumps(self, expander):
-        cache = CompactCache(expander, maxsize=4)
-        assert cache.generation == 0
-        cache.rebind(expander, None)
-        assert cache.generation == 1
-        cache.invalidate(["anything"])
-        assert cache.generation == 2
-        cache.rebind(expander, ["anything"])
-        # Targeted rebind bumps once itself and once via invalidate.
-        assert cache.generation == 4
-        cache.invalidate([])  # empty set is a no-op
-        assert cache.generation == 4
+        assert cache.stats.invalidations == 5
+        assert cache.rebind(expander) == 0
+        assert cache.stats.invalidations == 5
 
     def test_stale_discard_counted_in_registry(self, expander, probes):
         gated = _GatedExpander(expander)
@@ -141,22 +133,63 @@ class TestDeterministicRace:
         cache.attach_metrics(registry)
         thread, _ = self._racing_get(cache, probes[0])
         assert gated.entered.wait(10.0)
-        cache.rebind(expander, None)
+        cache.rebind(expander)
         gated.release.set()
         thread.join(10.0)
         assert registry.counter("serving.cache.stale_discards").value == 1
         assert registry.gauge("serving.cache.size").value == 0
 
 
+class TestBoundExpanderGate:
+    @pytest.fixture()
+    def superseded(self, multibipartite, expander):
+        return _another_epoch(multibipartite, expander)
+
+    def test_request_pinned_to_a_superseded_epoch_never_hits_or_inserts(
+        self, expander, superseded, probes
+    ):
+        cache = CompactCache(expander, maxsize=8)
+        bound_entry = cache.get({probes[0]: 1.0}, COMPACT, REG)
+        for _ in range(2):
+            pinned = cache.get(
+                {probes[0]: 1.0}, COMPACT, REG, expander=superseded
+            )
+            assert pinned is not bound_entry
+            assert pinned.queries == bound_entry.queries
+        cache.get({probes[1]: 1.0}, COMPACT, REG, expander=superseded)
+        stats = cache.stats
+        assert stats.hits == 0
+        assert stats.misses == 4
+        assert stats.stale_discards == 3
+        assert stats.size == 1
+        assert cache.get({probes[0]: 1.0}, COMPACT, REG) is bound_entry
+
+    def test_request_pinned_to_the_bound_epoch_hits_and_inserts(
+        self, expander, superseded, probes
+    ):
+        cache = CompactCache(superseded, maxsize=8)
+        cache.rebind(expander)
+        entry = cache.get({probes[0]: 1.0}, COMPACT, REG, expander=expander)
+        assert cache.get({probes[0]: 1.0}, COMPACT, REG) is entry
+        assert (
+            cache.get({probes[0]: 1.0}, COMPACT, REG, expander=expander)
+            is entry
+        )
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.size) == (2, 1, 1)
+        assert stats.stale_discards == 0
+
+
 class TestStressAccounting:
-    def test_concurrent_get_invalidate_rebind(self, expander, probes):
-        """Hammer get/invalidate/rebind; the counters must add up exactly.
+    def test_concurrent_get_rebind(self, multibipartite, expander, probes):
+        """Hammer get/rebind across two epochs; the counters add up exactly.
 
         Accounting invariant: every ``get`` is counted exactly once as a
-        hit or a miss, whatever rebinds land around it — and after the
-        readers drain and a final flush, nothing stale survives in the
-        cache.
+        hit or a miss, whatever rebinds land around it, and every cached
+        entry was built from the expander bound at insert time — after
+        the readers drain and a final flush, nothing survives.
         """
+        epochs = [expander, _another_epoch(multibipartite, expander)]
         cache = CompactCache(expander, maxsize=4)
         n_readers = 4
         gets_per_reader = 30
@@ -168,38 +201,43 @@ class TestStressAccounting:
                 for i in range(gets_per_reader):
                     query = probes[i % len(probes)]
                     entry = cache.get({query: 1.0}, COMPACT, REG)
-                    assert query in entry.query_set
+                    assert query in entry.queries
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         def writer():
             i = 0
             while not stop.is_set():
-                if i % 3 == 0:
-                    cache.rebind(expander, None)
-                elif i % 3 == 1:
-                    cache.invalidate([probes[i % len(probes)]])
-                else:
-                    cache.rebind(expander, [probes[i % len(probes)]])
+                cache.rebind(epochs[i % 2])
                 i += 1
 
-        readers = [threading.Thread(target=reader) for _ in range(n_readers)]
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        for t in readers:
-            t.start()
-        for t in readers:
-            t.join(60.0)
-        stop.set()
-        writer_thread.join(10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [
+                threading.Thread(target=reader) for _ in range(n_readers)
+            ]
+            writer_thread = threading.Thread(target=writer)
+            writer_thread.start()
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(60.0)
+            stop.set()
+            writer_thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert not writer_thread.is_alive()
         assert not errors
 
         stats = cache.stats
         assert stats.lookups == stats.hits + stats.misses
         assert stats.lookups == n_readers * gets_per_reader
         assert stats.size <= stats.maxsize
-        # Nothing in flight anymore: a wholesale flush must leave the
-        # cache truly empty (a pre-fix stale insert would survive here
-        # as an unevictable entry).
-        cache.rebind(expander, None)
+        # Nothing in flight anymore: a flush must leave the cache truly
+        # empty and count exactly the entries it held.
+        held = stats.size
+        assert cache.rebind(expander) == held
         assert cache.stats.size == 0
+        assert cache.stats.invalidations == stats.invalidations + held

@@ -1,21 +1,28 @@
 """Generation handshake: epoch-consistent publication to pool workers."""
 
+import dataclasses
 import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.baselines.base import SuggestRequest
 from repro.core import PQSDA
-from repro.graphs.compact import RandomWalkExpander
+from repro.graphs.compact import CompactConfig, RandomWalkExpander
 from repro.graphs.multibipartite import build_multibipartite
+from repro.logs.schema import QueryRecord
 from repro.logs.sessionizer import sessionize
+from repro.logs.storage import QueryLog
+from repro.personalize.profiles import ArrayProfileStore
 from repro.serve.pool import SuggestWorkerPool
+from repro.stream import IngestConfig, streaming_pqsda
 from repro.stream.epoch import Epoch, EpochManager
 from repro.synth.generator import GeneratorConfig, generate_log
 from repro.synth.world import make_world
 
-from tests.serve.conftest import SERVE_CONFIG
+from tests.serve.conftest import SERVE_CONFIG, SERVE_PERSONAL_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +161,136 @@ def test_attach_epochs_republishes_to_workers(
         assert all(worker.epoch_id == 1 for worker in stats.workers)
         assert pool.suggest_many(probes) == single2.suggest_batch(probes)
     assert _dev_shm_entries("t-epoch") == []
+
+
+def test_cached_answers_equal_a_fresh_build_after_an_epoch(synthetic_log):
+    """Warm worker caches, one 5-record epoch: every pooled answer equals
+    a fresh single-process build over the epoch's record prefix."""
+    records = sorted(
+        synthetic_log.records, key=lambda r: (r.timestamp, r.record_id)
+    )
+    split = int(len(records) * 0.8)
+    config = dataclasses.replace(
+        SERVE_CONFIG, compact=CompactConfig(size=25), cache_size=1024
+    )
+    _, ingestor, manager = streaming_pqsda(
+        QueryLog(records[:split]),
+        config=config,
+        ingest=IngestConfig(batch_size=5, clean=False),
+    )
+    epoch0 = manager.current()
+    probes = [
+        SuggestRequest(query=query, k=8)
+        for query in epoch0.multibipartite.queries
+    ]
+    with SuggestWorkerPool(
+        epoch0.expander,
+        config,
+        multibipartite=epoch0.multibipartite,
+        n_workers=2,
+        prefix="t-exact",
+    ) as pool:
+        pool.attach_epochs(manager)
+        pool.suggest_many(probes)  # every probe now cached on its worker
+        ingestor.ingest(iter(records[split : split + 5]))
+        epoch = manager.current()
+        assert epoch.epoch_id == 1
+        reference = PQSDA.build(epoch.log, config=config)
+        assert pool.suggest_many(probes) == reference.suggest_batch(probes)
+        flushed = sum(w.cache.invalidations for w in pool.stats().workers)
+        assert flushed == len(probes)
+    assert _dev_shm_entries("t-exact") == []
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def test_epoch_graph_and_profiles_swap_as_one_generation(
+    multibipartite,
+    profile_store,
+    personal_suggester,
+    next_generation,
+):
+    """A profiled request queued behind a profile-bearing epoch publish is
+    ranked all-old or all-new — never new graph with old profiles.
+
+    SIGSTOP ordering: the worker is stopped, the publish packs its
+    segments and queues its swap, the request queues behind it, and only
+    then does the worker run.
+    """
+    log2, mb2, expander2 = next_generation
+    user = profile_store.user_ids[0]
+    folded = ArrayProfileStore(profile_store.to_arrays()).fold_feedback(
+        [
+            QueryRecord(
+                user_id=user,
+                query=multibipartite.queries[i],
+                timestamp=float(i),
+                clicked_url="u",
+            )
+            for i in range(4)
+        ]
+    )
+    references = {
+        "old": personal_suggester,
+        "new": PQSDA(mb2, expander2, folded, SERVE_PERSONAL_CONFIG),
+        "mixed": PQSDA(mb2, expander2, profile_store, SERVE_PERSONAL_CONFIG),
+    }
+    # A query whose mixed-generation answer differs from both others.
+    for query in (q for q in mb2.queries if q in multibipartite):
+        answers = {
+            name: suggester.suggest(query, k=8, user_id=user)
+            for name, suggester in references.items()
+        }
+        if answers["mixed"] not in (answers["old"], answers["new"]):
+            break
+    else:
+        pytest.fail("no query separates the mixed generation")
+    epoch = Epoch(
+        epoch_id=1,
+        log=log2,
+        multibipartite=mb2,
+        matrices=expander2.matrices,
+        expander=expander2,
+        touched_queries=frozenset(),
+        profiles=folded,
+    )
+    prefix = "t-mixed"
+    with SuggestWorkerPool.from_suggester(
+        personal_suggester, n_workers=1, prefix=prefix
+    ) as pool:
+        serving = _dev_shm_entries(prefix)
+        worker = pool._workers[0]
+        got: list = []
+        os.kill(worker.pid, signal.SIGSTOP)
+        try:
+            publisher = threading.Thread(
+                target=pool.publish_epoch, args=(epoch,)
+            )
+            publisher.start()
+            # The new graph segment exists: the swap is about to be
+            # queued.  Give it time to be, then queue the request.
+            _wait_for(lambda: len(_dev_shm_entries(prefix)) > len(serving))
+            time.sleep(0.5)
+            requester = threading.Thread(
+                target=lambda: got.append(
+                    pool.suggest(query, k=8, user_id=user)
+                )
+            )
+            requester.start()
+            time.sleep(0.3)
+        finally:
+            os.kill(worker.pid, signal.SIGCONT)
+        publisher.join(timeout=60)
+        requester.join(timeout=60)
+        assert not publisher.is_alive() and not requester.is_alive()
+        assert got and got[0] in (answers["old"], answers["new"])
+        assert pool.suggest(query, k=8, user_id=user) == answers["new"]
+    assert _dev_shm_entries(prefix) == []
 
 
 def test_closed_pool_rejects_requests(expander, multibipartite):

@@ -105,7 +105,7 @@ def test_publish_shard_swaps_only_the_touched_segment(
         before_ids = dict(pool.shard_epoch_ids)
         before_bytes = dict(pool.shard_segment_bytes)
         piece = build_shard_slices(expander.matrices, plan, multibipartite)[1]
-        pool.publish_shard(piece, touched=list(piece.queries), epoch_id=7)
+        pool.publish_shard(piece, epoch_id=7)
         after_ids = dict(pool.shard_epoch_ids)
         assert after_ids[1] == 7
         for shard_id in (0, 2):

@@ -1,10 +1,10 @@
-"""Targeted cache invalidation: only entries touching a delta are evicted.
+"""Cache exactness across epoch swaps: a new epoch flushes the cache.
 
-ISSUE 2 satellite b: ``CompactCache`` tracks the query set behind each
-entry, ``invalidate(queries)`` evicts exactly the entries whose cached
-neighbourhood intersects the touched set, ``CacheStats.invalidations``
-counts them, and untouched entries *survive* an epoch swap and keep
-serving.
+Expansion is a global walk over cfiqf weights that every new record
+rescales, so an epoch can change any cached neighbourhood.  After a swap
+every cached query must answer exactly like a fresh ``PQSDA.build`` over
+the same record prefix; ``CacheStats.invalidations`` counts the flushed
+entries.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.core import PQSDA, PQSDAConfig
 from repro.diversify.candidates import DiversifyConfig
 from repro.graphs.compact import CompactConfig
-from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
 from repro.stream import IngestConfig, streaming_pqsda
 from repro.synth.generator import GeneratorConfig, generate_log
@@ -50,112 +49,44 @@ def _probe_queries(log, n=8):
     return seen
 
 
-class TestInvalidateAPI:
-    def test_entries_carry_their_query_set(self, synthetic_log):
-        suggester = _build(synthetic_log)
-        probe = _probe_queries(synthetic_log, 1)[0]
-        suggester.suggest(probe, k=8)
-        cache = suggester.serving_cache
-        [entry] = cache._entries.values()
-        assert entry.query_set == frozenset(entry.queries)
-        assert probe.lower() in {q for q in entry.query_set} or entry.queries
-
-    def test_invalidate_evicts_only_intersecting_entries(self, synthetic_log):
-        suggester = _build(synthetic_log)
-        cache = suggester.serving_cache
-        probes = _probe_queries(synthetic_log, 6)
-        for probe in probes:
-            suggester.suggest(probe, k=8)
-        entries = dict(cache._entries)
-        assert len(entries) == len(probes)
-
-        # Pick one entry and invalidate through one of its cached queries,
-        # chosen to hit as few other entries as possible.
-        target_key, target = next(iter(entries.items()))
-        victim_query = min(
-            target.query_set,
-            key=lambda q: sum(
-                q in e.query_set for e in entries.values()
-            ),
-        )
-        expected_stale = {
-            key
-            for key, entry in entries.items()
-            if victim_query in entry.query_set
-        }
-        evicted = cache.invalidate([victim_query])
-        assert evicted == len(expected_stale)
-        remaining = set(cache._entries)
-        assert remaining == set(entries) - expected_stale
-        assert cache.stats.invalidations == evicted
-
-    def test_invalidate_with_foreign_queries_is_noop(self, synthetic_log):
-        suggester = _build(synthetic_log)
-        probes = _probe_queries(synthetic_log, 4)
-        for probe in probes:
-            suggester.suggest(probe, k=8)
-        cache = suggester.serving_cache
-        before = cache.stats.size
-        assert cache.invalidate(["query-that-never-existed-xyz"]) == 0
-        assert cache.invalidate([]) == 0
-        assert cache.stats.size == before
-        assert cache.stats.invalidations == 0
-
-
-class TestEpochSwapSurvival:
-    def test_untouched_entries_survive_epoch_swap(self, synthetic_log):
-        """An epoch publish evicts only entries touching the delta."""
+class TestEpochSwapExactness:
+    def test_cached_answers_equal_a_fresh_build(self, synthetic_log):
+        """One 5-record epoch: every cached answer equals a fresh build's,
+        F* scores included."""
         records = sorted(
             synthetic_log.records, key=lambda r: (r.timestamp, r.record_id)
         )
         split = int(len(records) * 0.8)
-        bootstrap = QueryLog(records[:split])
+        config = PQSDAConfig(
+            compact=CompactConfig(size=25),
+            diversify=DiversifyConfig(k=8, candidate_pool=15),
+            personalize=False,
+            cache_size=1024,
+        )
         suggester, ingestor, manager = streaming_pqsda(
-            bootstrap,
-            config=PQSDAConfig(
-                compact=CompactConfig(size=25),
-                diversify=DiversifyConfig(k=8, candidate_pool=15),
-                personalize=False,
-            ),
-            ingest=IngestConfig(batch_size=8, clean=False),
+            QueryLog(records[:split]),
+            config=config,
+            ingest=IngestConfig(batch_size=5, clean=False),
         )
-        cache = suggester.serving_cache
-        probes = _probe_queries(bootstrap, 8)
+        probes = suggester.representation.queries
         for probe in probes:
-            suggester.suggest(probe, k=8)
-        entries_before = dict(cache._entries)
-        assert entries_before
+            suggester.diversified_candidates(probe)
+        cached = suggester.cache_stats.size
+        assert cached == len(probes)
 
-        # Stream one record whose query is brand new: the delta touches
-        # only that query, so no cached neighbourhood intersects it.
-        low, high = bootstrap.time_range
-        novel = QueryRecord(
-            user_id="fresh-user",
-            query="zzzz-novel-query-term",
-            timestamp=high + 10_000.0,
-            clicked_url="zzzz.example.com",
-        )
-        ingestor.ingest([novel])
-        assert manager.current().epoch_id == 1
-        assert set(cache._entries) == set(entries_before)
-        assert cache.stats.invalidations == 0
+        ingestor.ingest(iter(records[split : split + 5]))
+        epoch = manager.current()
+        assert epoch.epoch_id == 1
+        assert suggester.cache_stats.invalidations == cached
+        reference = PQSDA.build(epoch.log, config=config)
+        for probe in probes:
+            assert suggester.diversified_candidates(
+                probe
+            ) == reference.diversified_candidates(probe), probe
 
-        # Streaming the *tail* of the real log touches real queries: an
-        # entry must be evicted iff its neighbourhood intersected any
-        # published delta, and must survive otherwise.
-        touched_union: set[str] = set()
-        manager.subscribe(
-            lambda epoch: touched_union.update(epoch.touched_queries)
-        )
-        state_before = dict(cache._entries)
-        report = ingestor.ingest(iter(records[split:]))
-        assert report.epochs_published >= 1
-        assert set(cache._entries) <= set(state_before)  # no new builds
-        for key, entry in state_before.items():
-            if entry.query_set.isdisjoint(touched_union):
-                assert key in cache._entries, "untouched entry was evicted"
-            else:
-                assert key not in cache._entries, "stale entry survived"
+
+class TestEpochSwapSurvival:
+    """The suggester survives epoch swaps serving the fresh graph."""
 
     def test_swapped_cache_serves_fresh_graph(self, synthetic_log):
         """Post-swap suggestions reflect the new epoch, not stale entries."""

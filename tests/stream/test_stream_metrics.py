@@ -139,5 +139,5 @@ class TestStreamingPQSDAWiring:
         assert "stream.epochs.current" in names
         assert "serving.cache.misses" in names
         assert "trace.span.seconds" in names
-        # Epoch swaps ran targeted invalidation through the cache.
-        assert "serving.cache.invalidation_fanout" in names
+        # Epoch swaps flush the cache through its attached counters.
+        assert "serving.cache.invalidations" in names
