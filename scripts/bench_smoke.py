@@ -51,7 +51,9 @@ bytes, cross-shard spill rate, QPS vs. the unsharded pool, bit-identity
 against the single-process path — shards=1 doubles as the no-regression
 control), and the ingest record gains per-shard fold/publish stats for
 the same shard counts (epochs carrying per-shard update sets, mean
-updates per epoch, throughput vs. the unsharded stream).
+updates per epoch, throughput vs. the unsharded stream); any sharded
+geometry whose answers diverge from the single-process path fails the
+run.
 ``--http`` adds an ``"http"`` section to the same record: the async
 front-end measured over real sockets — normal-load QPS and p50/p99 with
 every answer checked bit-identical to ``suggest_batch`` (shed counters
@@ -108,9 +110,8 @@ N_PROBES = 15
 
 #: Ingest benchmark scales.  The quick profile is sized for CI; the full
 #: profile is big enough that per-epoch costs dominate per-batch fixed
-#: costs — the regime the parallel ingest plane is built for (the serial
-#: path re-derives the full plane every epoch, so its per-record cost
-#: grows with vocabulary size while the sharded lazy plane's does not).
+#: costs (every epoch re-derives the full plane, so the per-record cost
+#: grows with vocabulary size).
 INGEST_USERS_QUICK = 60
 INGEST_USERS_FULL = 800
 
@@ -255,22 +256,25 @@ def run_sweep(scales: tuple[int, ...]) -> dict:
 
 
 def run_ingest_bench(
-    n_users: int = INGEST_USERS_QUICK, n_shards: int = 0, fold_workers: int = 0
+    n_users: int = INGEST_USERS_QUICK, n_shards: int = 0
 ) -> dict:
     """Stream 30% of a log into a 70% bootstrap; record throughput + latency.
 
+    The warm latencies time probes that carry a search context
+    (:func:`_context_requests`), so each request runs the solve and the
+    walk on its warm compact entry instead of returning a memoized
+    ranking.
+
     With *n_shards* the stream is replayed again over sharded states and
-    the record gains a ``sharded`` section, one entry per geometry: shard
-    counts ``{1, n_shards}`` with the serial fold (the 1-shard row is the
-    no-regression control) plus — with *fold_workers* — ``n_shards``
-    shards folded by that many parallel worker processes with pipelined
-    epoch publishes.  Each entry carries ingest throughput relative to
-    the unsharded serial run, the fold-only vs end-to-end split, and a
-    ``bit_identical`` check of the post-stream suggestions against the
-    batch rebuild.  The default config is cfiqf-weighted, whose
-    epoch-level |Q| correction rescales every facet weight — so every
-    epoch legitimately republishes all shards; the recorded
-    ``mean_shard_updates_per_epoch`` documents exactly that cost.
+    the record gains a ``sharded`` section, one entry per shard count in
+    ``{1, n_shards}`` (the 1-shard row is the no-regression control).
+    Each entry carries ingest throughput relative to the unsharded run,
+    the fold-only vs end-to-end split, and a ``bit_identical`` check of
+    the post-stream suggestions against the batch rebuild.  The default
+    config is cfiqf-weighted, whose epoch-level |Q| correction rescales
+    every facet weight — so every epoch legitimately republishes all
+    shards; the recorded ``mean_shard_updates_per_epoch`` documents
+    exactly that cost.
     """
     from repro.stream import IngestConfig, replay, streaming_pqsda
 
@@ -301,7 +305,7 @@ def run_ingest_bench(
     report = ingestor.ingest(replay(tail))
 
     probes = _probe_queries(log, N_PROBES)
-    requests = [SuggestRequest(query=q, k=10) for q in probes]
+    requests = _context_requests(probes)
     measure_batch_latency(suggester, requests)  # cold pass fills the cache
     warm_stream = measure_batch_latency(suggester, requests)
 
@@ -340,17 +344,13 @@ def run_ingest_bench(
         from repro.graphs.shard import ShardPlan
 
         expected = reference.suggest_batch(requests)
-        geometries = [(1, 0), (n_shards, 0)]
-        if fold_workers > 0:
-            geometries.append((n_shards, fold_workers))
         sharded = []
-        for count, workers in dict.fromkeys(geometries):
+        for count in dict.fromkeys((1, n_shards)):
             suggester_s, ingestor_s, manager_s = streaming_pqsda(
                 bootstrap,
                 config=pq_config,
                 ingest=IngestConfig(batch_size=256, epoch_every=1, clean=False),
                 shard_plan=ShardPlan.hashed(count),
-                fold_workers=workers,
             )
             tally = {"epochs": 0, "updates": 0, "full": 0}
 
@@ -362,43 +362,35 @@ def run_ingest_bench(
                     tally["updates"] += len(epoch.shard_updates)
 
             manager_s.subscribe(_tally)
-            try:
-                report_s = ingestor_s.ingest(replay(tail))
-                entry = {
-                    "n_shards": count,
-                    "fold_workers": workers,
-                    "ingest_records_per_second": report_s.records_per_second,
-                    "fold_records_per_second": (
-                        report_s.fold_records_per_second
-                    ),
-                    "fold_seconds": round(report_s.fold_seconds, 3),
-                    "publish_seconds": round(report_s.publish_seconds, 3),
-                    "throughput_vs_unsharded": round(
-                        report_s.records_per_second
-                        / report.records_per_second,
-                        3,
-                    ),
-                    "epochs_published": manager_s.stats.published,
-                    "epochs_with_shard_updates": tally["epochs"],
-                    "full_publishes": tally["full"],
-                    "shard_updates_total": tally["updates"],
-                    "mean_shard_updates_per_epoch": round(
-                        tally["updates"] / tally["epochs"], 2
-                    ) if tally["epochs"] else 0.0,
-                    "bit_identical": (
-                        suggester_s.suggest_batch(requests) == expected
-                    ),
-                }
-                # Live tails keep minting new queries, which renumber the
-                # global ordinals and force full publishes — so the tail
-                # replay above never shows the per-shard path.  Replay a
-                # slice of now-known records to measure it: no new queries,
-                # every epoch carries a per-shard update set.
-                before = dict(tally)
-                ingestor_s.ingest(replay(tail[:120]))
-            finally:
-                if workers:
-                    ingestor_s.state.close()
+            report_s = ingestor_s.ingest(replay(tail))
+            entry = {
+                "n_shards": count,
+                "ingest_records_per_second": report_s.records_per_second,
+                "fold_records_per_second": report_s.fold_records_per_second,
+                "fold_seconds": round(report_s.fold_seconds, 3),
+                "publish_seconds": round(report_s.publish_seconds, 3),
+                "throughput_vs_unsharded": round(
+                    report_s.records_per_second / report.records_per_second,
+                    3,
+                ),
+                "epochs_published": manager_s.stats.published,
+                "epochs_with_shard_updates": tally["epochs"],
+                "full_publishes": tally["full"],
+                "shard_updates_total": tally["updates"],
+                "mean_shard_updates_per_epoch": round(
+                    tally["updates"] / tally["epochs"], 2
+                ) if tally["epochs"] else 0.0,
+                "bit_identical": (
+                    suggester_s.suggest_batch(requests) == expected
+                ),
+            }
+            # Live tails keep minting new queries, which renumber the
+            # global ordinals and force full publishes — so the tail
+            # replay above never shows the per-shard path.  Replay a
+            # slice of now-known records to measure it: no new queries,
+            # every epoch carries a per-shard update set.
+            before = dict(tally)
+            ingestor_s.ingest(replay(tail[:120]))
             epochs_known = tally["epochs"] - before["epochs"]
             updates_known = tally["updates"] - before["updates"]
             entry["known_replay"] = {
@@ -411,7 +403,7 @@ def run_ingest_bench(
             }
             sharded.append(entry)
             print(
-                f"ingest[shards={count} fold_workers={workers}]: "
+                f"ingest[shards={count}]: "
                 f"{report_s.records_per_second:,.0f} records/s "
                 f"(x{entry['throughput_vs_unsharded']} vs unsharded, "
                 f"fold-only {report_s.fold_records_per_second:,.0f}), "
@@ -1292,22 +1284,6 @@ def main() -> int:
         "--serve and --ingest; 0 = off)",
     )
     parser.add_argument(
-        "--fold-workers", type=int, default=0, metavar="N",
-        help="also benchmark the parallel ingest plane: N persistent fold "
-        "worker processes with pipelined epoch publishes at --shards "
-        "shards (implies --ingest; requires --shards; 0 = off)",
-    )
-    parser.add_argument(
-        "--min-ingest-throughput", type=float, default=None, metavar="R",
-        help="fail (exit 1) when the most parallel sharded ingest "
-        "geometry falls below R x unsharded serial throughput, or when "
-        "any measured geometry is not bit-identical (CI uses 0.9 with "
-        "--shards 2 --fold-workers 2; the throughput bound — not the "
-        "bit-identity check — is auto-skipped on machines with fewer "
-        "than 2 CPUs, where no parallel fold speedup is physically "
-        "available)",
-    )
-    parser.add_argument(
         "--personalize", action="store_true",
         help="also benchmark personalized serving over the shared profile "
         "plane (personalized vs. anonymous QPS at 1/2/4 workers; implies "
@@ -1360,12 +1336,6 @@ def main() -> int:
     if args.shards > 0:
         args.serve = True
         args.ingest = True
-    if args.fold_workers > 0:
-        args.ingest = True
-        if args.shards <= 0:
-            parser.error("--fold-workers requires --shards")
-    if args.min_ingest_throughput is not None and args.shards <= 0:
-        parser.error("--min-ingest-throughput requires --shards")
     mode = "full" if args.full else "quick"
     scales = USER_SCALES if args.full else USER_SCALES[:1]
     record = {
@@ -1400,43 +1370,19 @@ def main() -> int:
                     INGEST_USERS_FULL if args.full else INGEST_USERS_QUICK
                 ),
                 n_shards=args.shards,
-                fold_workers=args.fold_workers,
             ),
         }
         Path(args.ingest_output).write_text(
             json.dumps(ingest_record, indent=2) + "\n"
         )
         print(f"wrote {args.ingest_output}")
-        if args.min_ingest_throughput is not None:
-            entries = ingest_record.get("sharded", [])
-            broken = [
-                f"shards={e['n_shards']} fold_workers={e['fold_workers']}"
-                for e in entries
-                if not e["bit_identical"]
-            ]
-            if broken:
-                fail(
-                    "sharded ingest not bit-identical at "
-                    + ", ".join(broken)
-                )
-            cpus = ingest_record["cpu_count"] or 1
-            gated = entries[-1] if entries else None
-            if gated is not None and gated["fold_workers"] > 0 and cpus < 2:
-                print(
-                    f"ingest throughput gate skipped: {cpus} CPU(s) — no "
-                    "parallel fold speedup is physically available"
-                )
-            elif gated is not None and (
-                gated["throughput_vs_unsharded"]
-                < args.min_ingest_throughput
-            ):
-                fail(
-                    f"sharded ingest at shards={gated['n_shards']} "
-                    f"fold_workers={gated['fold_workers']} reached "
-                    f"x{gated['throughput_vs_unsharded']} of unsharded "
-                    f"serial throughput, below the "
-                    f"x{args.min_ingest_throughput} bound"
-                )
+        broken = [
+            f"shards={entry['n_shards']}"
+            for entry in ingest_record.get("sharded", ())
+            if not entry["bit_identical"]
+        ]
+        if broken:
+            fail("sharded ingest not bit-identical at " + ", ".join(broken))
     if args.upm:
         upm_record = {
             "benchmark": "upm_training",

@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="UPM sampler implementation (bit-identical; "
                               "'reference' is the executable specification)")
     suggest.add_argument("--upm-workers", type=int, default=1,
-                         help="document-parallel UPM training workers "
-                              "(processes for the fast engine)")
+                         help="document-parallel UPM training processes "
+                              "(fast engine only)")
     suggest.add_argument("--verbose", action="store_true",
                          help="print per-fit UPM training statistics")
     suggest.add_argument("--metrics-out", default=None, metavar="JSON",
@@ -150,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard the query side N ways: epochs carry "
                              "per-shard slices and minimal update sets "
                              "(0 = unsharded)")
-    ingest.add_argument("--fold-workers", type=int, default=0, metavar="N",
-                        help="derive per-shard slices in N persistent fold "
-                             "worker processes and pipeline epoch publishes "
-                             "with the next batch's fold; requires --shards "
-                             "(0 = serial fold)")
     ingest.add_argument("--metrics-out", default=None, metavar="JSON",
                         help="attach a metrics registry to the streaming "
                              "stack and write its snapshot here")
@@ -274,6 +269,17 @@ def _write_metrics(registry, metrics_out: str | None) -> None:
 
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
+    try:
+        upm = UPMConfig(
+            n_topics=args.topics,
+            iterations=30,
+            engine=args.upm_engine,
+            n_workers=args.upm_workers,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     cleaned = _load_cleaned(args.log, args.max_records)
     if len(cleaned) == 0:
         print("error: log is empty after cleaning", file=sys.stderr)
@@ -282,13 +288,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         weighted=not args.raw,
         compact=CompactConfig(size=args.compact_size),
         diversify=DiversifyConfig(k=args.k),
-        upm=UPMConfig(
-            n_topics=args.topics,
-            iterations=30,
-            engine=args.upm_engine,
-            n_workers=args.upm_workers,
-            seed=args.seed,
-        ),
+        upm=upm,
         personalize=not args.no_personalize,
     )
     registry = _make_registry(args.metrics_out)
@@ -445,9 +445,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         from repro.graphs.shard import ShardPlan
 
         shard_plan = ShardPlan.hashed(args.shards)
-    if args.fold_workers > 0 and shard_plan is None:
-        print("error: --fold-workers requires --shards", file=sys.stderr)
-        return 1
     registry = _make_registry(args.metrics_out)
     suggester, ingestor, manager = streaming_pqsda(
         bootstrap,
@@ -460,7 +457,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         ),
         registry=registry,
         shard_plan=shard_plan,
-        fold_workers=args.fold_workers,
     )
     shard_publishes = {"epochs": 0, "updates": 0}
     if shard_plan is not None:
@@ -475,22 +471,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         frequency = Counter(normalize_query(r.query) for r in bootstrap)
         probe = frequency.most_common(1)[0][0]
     print(f"bootstrap: {split} records, epoch 0 published")
-    if args.fold_workers > 0:
-        print(
-            f"fold workers: {ingestor.state.fold_workers} processes, "
-            f"home shards "
-            + ", ".join(
-                f"w{wid}->{list(shards)}"
-                for wid, shards in sorted(ingestor.state.home_map.items())
-            )
-        )
     before = suggester.suggest(probe, k=args.k)
-    try:
-        report = ingestor.ingest(replay(tail, speedup=args.replay))
-        after = suggester.suggest(probe, k=args.k)
-    finally:
-        if args.fold_workers > 0:
-            ingestor.state.close()
+    report = ingestor.ingest(replay(tail, speedup=args.replay))
+    after = suggester.suggest(probe, k=args.k)
 
     print(
         f"streamed {report.records_ingested} records in "

@@ -26,13 +26,13 @@ method-of-moments Beta fit (same resolution as Topics-over-Time).
   sharded across *processes* (the document partition is exact for the UPM,
   so this is true parallelism, not AD-LDA approximation);
 * ``"reference"`` — the straightforward per-session implementation below,
-  kept as the executable specification; with ``n_workers > 1`` it uses the
-  historical (GIL-bound) thread pool.
+  kept as the executable specification; it always runs serially.
 
 Both engines share the per-``(document, sweep)`` RNG streams and every
 hyperparameter-optimization code path, and are **bit-identical**: exactly
 equal assignments, ``theta``, ``beta``, ``delta`` and ``tau`` for any
-worker count (pinned by ``tests/personalize/test_fast_engine.py``).
+fast-engine worker count (pinned by
+``tests/personalize/test_fast_engine.py``).
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class UPMConfig:
         engine: ``"fast"`` (vectorized kernel, process-parallel) or
             ``"reference"`` (the executable specification).  Both produce
             bit-identical fits.
-        n_workers: Document-parallel workers — processes for the fast
-            engine, threads for the reference engine.  Results are
+        n_workers: Document-parallel worker processes (fast engine only;
+            the reference engine rejects more than one).  Results are
             identical to the serial run for any worker count.
         seed: RNG seed.
     """
@@ -160,6 +160,11 @@ class UPMConfig:
             )
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if self.engine == "reference" and self.n_workers > 1:
+            raise ValueError(
+                "the reference engine runs serially; use engine='fast' "
+                f"for n_workers={self.n_workers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -244,7 +249,7 @@ class UPM:
     def fit_metrics(self) -> MetricsRegistry:
         """The last fit's internal registry (``upm.sweep.*`` series).
 
-        Replaces the ad-hoc per-engine list accumulators: all four engine
+        Replaces the ad-hoc per-engine list accumulators: all three engine
         paths observe each sweep through :meth:`_observe_sweep`, and
         :class:`UPMFitStats` is assembled from these series.
         """
@@ -332,8 +337,6 @@ class UPM:
                 self._fit_fast_parallel()
             else:
                 self._fit_fast_serial()
-        elif config.n_workers > 1:
-            self._fit_parallel()
         else:
             self._fit_reference_serial()
         total_seconds = perf_counter() - start_time
@@ -373,41 +376,6 @@ class UPM:
                 per_doc[d] = self._sweep_document(d, self._doc_rng(d, sweep))
             self._observe_sweep(float(per_doc.sum()), perf_counter() - start)
             self._maybe_optimize(sweep)
-
-    def _fit_parallel(self) -> None:
-        """Document-parallel Gibbs over worker *threads* (reference engine).
-
-        Kept as the historical parallel path: correct and bit-identical,
-        but GIL-bound — the fast engine's process sharding is the one that
-        actually scales (see ``_fit_fast_parallel``).
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        config = self.config
-        D = self._corpus.n_documents
-        n_workers = min(config.n_workers, D)
-        blocks = [list(range(D))[i::n_workers] for i in range(n_workers)]
-
-        def run_block(
-            block: list[int], sweep: int, per_doc: np.ndarray
-        ) -> None:
-            for d in block:
-                per_doc[d] = self._sweep_document(d, self._doc_rng(d, sweep))
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for sweep in range(1, config.iterations + 1):
-                start = perf_counter()
-                per_doc = np.empty(D)
-                futures = [
-                    pool.submit(run_block, block, sweep, per_doc)
-                    for block in blocks
-                ]
-                for future in futures:
-                    future.result()
-                self._observe_sweep(
-                    float(per_doc.sum()), perf_counter() - start
-                )
-                self._maybe_optimize(sweep)
 
     # -- fast engine -----------------------------------------------------------------
 

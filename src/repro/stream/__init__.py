@@ -65,7 +65,6 @@ def streaming_pqsda(
     registry=None,
     stream_profiles: bool = False,
     shard_plan=None,
-    fold_workers: int = 0,
 ) -> tuple[PQSDA, LogIngestor, EpochManager]:
     """Build a live suggester over *bootstrap_log*; return its stream plumbing.
 
@@ -95,36 +94,16 @@ def streaming_pqsda(
     which a sharded :class:`~repro.serve.pool.SuggestWorkerPool`
     subscribed via ``attach_epochs`` consumes as independent per-shard
     segment swaps.
-
-    *fold_workers* >= 1 (requires *shard_plan*) swaps the state for a
-    :class:`~repro.stream.parallel.ParallelStreamState`: that many
-    persistent fold processes derive the per-shard slices concurrently
-    and the ingestor pipelines epoch publishes with the next batch's
-    fold.  Bit-identical to the serial fold at any worker count; call
-    ``ingestor.state.close()`` when done to stop the workers.
     """
     if config is None:
         config = PQSDAConfig()
     if stream_profiles and not config.personalize:
         raise ValueError("stream_profiles requires config.personalize")
-    if fold_workers:
-        if shard_plan is None:
-            raise ValueError("fold_workers requires a shard_plan")
-        from repro.stream.parallel import ParallelStreamState
-
-        state = ParallelStreamState(
-            sessionizer=sessionizer,
-            weighted=config.weighted,
-            shard_plan=shard_plan,
-            fold_workers=fold_workers,
-            registry=registry,
-        )
-    else:
-        state = StreamState(
-            sessionizer=sessionizer,
-            weighted=config.weighted,
-            shard_plan=shard_plan,
-        )
+    state = StreamState(
+        sessionizer=sessionizer,
+        weighted=config.weighted,
+        shard_plan=shard_plan,
+    )
     records = sorted(
         bootstrap_log.records, key=lambda r: (r.timestamp, r.record_id)
     )

@@ -110,13 +110,6 @@ class StreamSnapshot:
             state, first snapshot, or a delta that added queries and
             therefore renumbered global ordinals): consumers must do a
             full publish.
-        plane: Deferred global-plane handle (parallel ingest only): a
-            :class:`repro.stream.parallel.LazyEpochPlane` that stitches
-            ``matrices`` (and the epoch expander) from the slices on
-            first real use, so epochs that are only served through their
-            shard slices never pay the global gram/affinity/stack
-            derivation.  ``None`` for the serial path, whose ``matrices``
-            are already materialized.
     """
 
     log: QueryLog
@@ -126,7 +119,6 @@ class StreamSnapshot:
     shard_plan: ShardPlan | None = None
     shard_slices: dict[int, ShardSlice] | None = None
     shard_updates: dict[int, ShardSlice] | None = None
-    plane: object | None = None
 
 
 @dataclass
@@ -315,7 +307,6 @@ class StreamState:
         touched: set[str] = set()
         new_queries: set[str] = set()
         new_facets: dict[str, set[str]] = {kind: set() for kind in BIPARTITE_KINDS}
-        events: list[tuple[str, str, str | None, tuple[str, ...]]] = []
         for record in records:
             self._pending.append(record)
             session_id = self._sessionize(record)
@@ -331,10 +322,8 @@ class StreamState:
                     "U", query, record.clicked_url, shard, touched, new_facets
                 )
             self._add_edge("S", query, session_id, shard, touched, new_facets)
-            terms = tuple(set(tokenize(query)))
-            for term in terms:
+            for term in set(tokenize(query)):
                 self._add_edge("T", query, term, shard, touched, new_facets)
-            events.append((query, session_id, record.clicked_url, terms))
         self._new_queries.update(new_queries)
         self._touched.update(touched)
         touched_shards: frozenset[int] = frozenset()
@@ -343,29 +332,13 @@ class StreamState:
                 self._shard_of(query) for query in touched
             )
             self._dirty_shards.update(touched_shards)
-        delta = GraphDelta(
+        return GraphDelta(
             n_records=len(records),
             touched_queries=frozenset(touched),
             new_queries=frozenset(new_queries),
             new_facets={k: frozenset(v) for k, v in new_facets.items()},
             touched_shards=touched_shards,
         )
-        self._after_apply(records, events, delta)
-        return delta
-
-    def _after_apply(
-        self,
-        records: list[QueryRecord],
-        events: list[tuple[str, str, str | None, tuple[str, ...]]],
-        delta: GraphDelta,
-    ) -> None:
-        """Fold hook for subclasses; *events* are the folded edge sources.
-
-        Each event is ``(query, session_id, clicked_url, terms)`` for one
-        admitted non-empty-query record, in fold order — everything a
-        remote fold worker needs to replay :meth:`apply`'s edge updates
-        without re-running the (cross-shard, per-user) sessionizer.
-        """
 
     def _shard_of(self, query: str) -> int:
         """Home shard of an already-normalized query, memoized."""
@@ -637,7 +610,6 @@ def _patch_raw_csr(
     old_col_pos: np.ndarray,
     touched: set[str],
     bipartite: Bipartite,
-    facet_pos: dict[str, int] | None = None,
 ) -> sparse.csr_matrix:
     """New canonical raw-count CSR from the old one plus a touched set.
 
@@ -650,8 +622,7 @@ def _patch_raw_csr(
     """
     n_rows = len(queries)
     index_dtype = np.int32 if old is None else old.indices.dtype
-    if facet_pos is None:
-        facet_pos = {facet: j for j, facet in enumerate(facets)}
+    facet_pos = {facet: j for j, facet in enumerate(facets)}
 
     touched_rows = sorted(
         (query_index[query], query) for query in touched if query in query_index

@@ -95,26 +95,15 @@ class Epoch:
         snapshot: StreamSnapshot,
         profiles: object | None = None,
     ) -> "Epoch":
-        """Wrap *snapshot* with a prebuilt expander as epoch *epoch_id*.
-
-        Parallel-ingest snapshots carry a deferred global plane (see
-        :class:`repro.stream.parallel.LazyEpochPlane`); their expander is
-        the plane's lazy one, so publishing never forces the stitched
-        global matrices.
-        """
-        plane = getattr(snapshot, "plane", None)
-        if plane is not None:
-            expander = plane.expander()
-        else:
-            expander = RandomWalkExpander(
-                snapshot.multibipartite, matrices=snapshot.matrices
-            )
+        """Wrap *snapshot* with a prebuilt expander as epoch *epoch_id*."""
         return cls(
             epoch_id=epoch_id,
             log=snapshot.log,
             multibipartite=snapshot.multibipartite,
             matrices=snapshot.matrices,
-            expander=expander,
+            expander=RandomWalkExpander(
+                snapshot.multibipartite, matrices=snapshot.matrices
+            ),
             touched_queries=snapshot.touched_queries,
             profiles=profiles,
             shard_plan=snapshot.shard_plan,

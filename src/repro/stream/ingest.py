@@ -150,9 +150,6 @@ class LogIngestor:
             profiles = ArrayProfileStore(profiles.to_arrays())
         self._profiles: ArrayProfileStore | None = profiles
         self._feedback: list[QueryRecord] = []
-        # Pipelined publish (parallel states only): the one in-flight
-        # (snapshot token, profiles) pair between begin and finish.
-        self._inflight: tuple[object, ArrayProfileStore | None] | None = None
         self.attach_metrics(registry)
 
     def attach_metrics(self, registry) -> None:
@@ -225,7 +222,6 @@ class LogIngestor:
             self._flush(report)
         if publish_remainder and self._state.n_pending:
             self._publish(report)
-        self._drain_inflight(report)
         report.elapsed_seconds = time.perf_counter() - started
         self._m_rps.set(report.records_per_second)
         return report
@@ -279,63 +275,21 @@ class LogIngestor:
             self._publish(report)
 
     def _publish(self, report: IngestReport) -> None:
-        """Derive and publish the next epoch (pipelined when supported).
-
-        Serial states snapshot-and-publish inline.  A parallel state (one
-        exposing ``begin_snapshot``/``finish_snapshot``, e.g.
-        :class:`repro.stream.parallel.ParallelStreamState`) is driven as a
-        one-deep pipeline: the previous in-flight snapshot — whose slices
-        the fold workers derived *while this epoch's batches were
-        folding* — is finished and published first, then this epoch's
-        snapshot is begun and left in flight.  Epoch ids are assigned at
-        finish time on this writer thread, so publish order (and
-        ``EpochManager`` pinning semantics) never changes.
-        """
+        """Derive the next epoch's snapshot and publish it."""
         started = time.perf_counter()
-        if hasattr(self._state, "begin_snapshot"):
-            self._finish_inflight(report)
-            profiles = self._fold_profiles()
-            self._inflight = (self._state.begin_snapshot(), profiles)
-        else:
-            snapshot = self._state.build_snapshot()
-            profiles = self._fold_profiles()
-            self._publish_epoch(snapshot, profiles, report)
-        self._batches_since_publish = 0
-        elapsed = time.perf_counter() - started
-        report.publish_seconds += elapsed
-        self._m_publish_seconds.observe(elapsed)
-
-    def _finish_inflight(self, report: IngestReport) -> None:
-        inflight = self._inflight
-        if inflight is None:
-            return
-        self._inflight = None
-        token, profiles = inflight
-        snapshot = self._state.finish_snapshot(token)
-        self._publish_epoch(snapshot, profiles, report)
-
-    def _drain_inflight(self, report: IngestReport) -> None:
-        """Finish and publish the pipelined snapshot still in flight."""
-        if self._inflight is None:
-            return
-        started = time.perf_counter()
-        self._finish_inflight(report)
-        elapsed = time.perf_counter() - started
-        report.publish_seconds += elapsed
-        self._m_publish_seconds.observe(elapsed)
-
-    def _publish_epoch(
-        self,
-        snapshot,
-        profiles: ArrayProfileStore | None,
-        report: IngestReport,
-    ) -> None:
+        snapshot = self._state.build_snapshot()
         epoch = Epoch.from_snapshot(
-            self._manager.current().epoch_id + 1, snapshot, profiles=profiles
+            self._manager.current().epoch_id + 1,
+            snapshot,
+            profiles=self._fold_profiles(),
         )
         self._manager.publish(epoch)
         report.epochs_published += 1
         self._m_epochs.inc()
+        self._batches_since_publish = 0
+        elapsed = time.perf_counter() - started
+        report.publish_seconds += elapsed
+        self._m_publish_seconds.observe(elapsed)
 
     def _fold_profiles(self) -> ArrayProfileStore | None:
         """Fold buffered click feedback into the next profile generation.

@@ -118,6 +118,18 @@ class TestSuggest:
         code = main(["suggest", str(empty), "sun"])
         assert code == 1
 
+    def test_reference_engine_workers_error(self, log_path, capsys):
+        code = main(
+            [
+                "suggest", str(log_path), "sun",
+                "--upm-engine", "reference", "--upm-workers", "2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the reference engine runs serially")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestIngest:
     def test_streams_tail_and_reports(self, log_path, capsys):

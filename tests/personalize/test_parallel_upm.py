@@ -1,23 +1,13 @@
-"""Tests for document-parallel UPM Gibbs sampling (reference engine).
+"""Tests for the UPM worker-count contract.
 
-These pin ``engine="reference"`` to keep the historical thread-pool path
-covered; the fast engine's process sharding has its own bit-identity suite
-in ``test_fast_engine.py``.
+Document-parallel sampling is the fast engine's process sharding, whose
+bit-identity suite lives in ``test_fast_engine.py``; the reference engine
+is the serial executable specification and refuses more than one worker.
 """
 
-import numpy as np
 import pytest
 
-from repro.logs.sessionizer import sessionize
-from repro.personalize.upm import UPM, UPMConfig
-from repro.topicmodels.corpus import build_corpus
-from tests.personalize.test_upm import two_topic_log
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    log = two_topic_log(sessions_per_user=5, users=8)
-    return build_corpus(log, sessionize(log))
+from repro.personalize.upm import UPMConfig
 
 
 class TestParallelGibbs:
@@ -25,54 +15,8 @@ class TestParallelGibbs:
         with pytest.raises(ValueError):
             UPMConfig(n_workers=0)
 
-    @pytest.mark.parametrize("n_workers", [2, 4, 16])
-    def test_parallel_bit_identical_to_serial(self, corpus, n_workers):
-        # The document partition is exact for the UPM: any worker count
-        # must give the same posterior state as the serial run.
-        base = UPMConfig(
-            n_topics=2, iterations=12, seed=3, engine="reference", n_workers=1
-        )
-        serial = UPM(base).fit(corpus)
-        parallel = UPM(
-            UPMConfig(
-                n_topics=2, iterations=12, seed=3, engine="reference",
-                n_workers=n_workers,
-            )
-        ).fit(corpus)
-        assert np.array_equal(serial.theta, parallel.theta)
-        assert np.array_equal(serial.beta, parallel.beta)
-        assert np.array_equal(serial.delta, parallel.delta)
-        assert np.array_equal(serial.tau, parallel.tau)
-
-    def test_parallel_with_hyperopt(self, corpus):
-        serial = UPM(
-            UPMConfig(
-                n_topics=2, iterations=10, hyperopt_every=5, seed=0,
-                engine="reference", n_workers=1,
-            )
-        ).fit(corpus)
-        parallel = UPM(
-            UPMConfig(
-                n_topics=2, iterations=10, hyperopt_every=5, seed=0,
-                engine="reference", n_workers=3,
-            )
-        ).fit(corpus)
-        assert np.array_equal(serial.theta, parallel.theta)
-
-    def test_more_workers_than_documents(self, corpus):
-        model = UPM(
-            UPMConfig(
-                n_topics=2, iterations=3, seed=0, engine="reference",
-                n_workers=100,
-            )
-        ).fit(corpus)
-        assert model.theta.shape[0] == corpus.n_documents
-
-    def test_parallel_scoring_works(self, corpus):
-        model = UPM(
-            UPMConfig(
-                n_topics=2, iterations=10, seed=0, engine="reference",
-                n_workers=2,
-            )
-        ).fit(corpus)
-        assert model.preference_score("u0", "java jvm") > 0
+    def test_reference_engine_rejects_workers(self):
+        with pytest.raises(ValueError, match="engine='fast'"):
+            UPMConfig(engine="reference", n_workers=2)
+        assert UPMConfig(engine="reference", n_workers=1).n_workers == 1
+        assert UPMConfig(engine="fast", n_workers=2).n_workers == 2

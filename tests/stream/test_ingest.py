@@ -9,6 +9,7 @@ from repro.logs.aol import write_aol
 from repro.logs.cleaning import CleaningRules
 from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
+from repro.obs.registry import MetricsRegistry
 from repro.stream import (
     Epoch,
     EpochManager,
@@ -16,8 +17,11 @@ from repro.stream import (
     LogIngestor,
     StreamState,
     replay,
+    streaming_pqsda,
     tail_aol,
 )
+from repro.synth.generator import GeneratorConfig, generate_log
+from repro.synth.world import make_world
 
 _T0 = 1_355_000_000.0
 
@@ -92,6 +96,31 @@ class TestBatchingAndEpochs:
         report = ingestor.ingest(_record(i) for i in range(1, 21))
         assert report.elapsed_seconds > 0
         assert report.records_per_second > 0
+
+    def test_report_splits_fold_and_publish_time(self):
+        synthetic = generate_log(
+            make_world(seed=0),
+            GeneratorConfig(n_users=24, mean_sessions_per_user=4, seed=11),
+        )
+        records = sorted(
+            synthetic.log.records, key=lambda r: (r.timestamp, r.record_id)
+        )
+        registry = MetricsRegistry()
+        cut = len(records) // 2
+        suggester, ingestor, manager = streaming_pqsda(
+            QueryLog(tuple(records[:cut])),
+            ingest=IngestConfig(batch_size=32, clean=False),
+            registry=registry,
+        )
+        report = ingestor.ingest(records[cut:])
+        assert report.fold_seconds > 0.0
+        assert report.publish_seconds > 0.0
+        assert report.fold_seconds + report.publish_seconds <= (
+            report.elapsed_seconds
+        )
+        assert report.fold_records_per_second > report.records_per_second
+        histogram = registry.histogram("stream.ingest.publish_seconds")
+        assert histogram.count == report.epochs_published
 
 
 class TestCleaningGate:
@@ -261,7 +290,6 @@ class TestProfileFeedback:
         from repro.core import PQSDAConfig
         from repro.personalize.profiles import ArrayProfileStore
         from repro.personalize.upm import UPMConfig
-        from repro.stream import streaming_pqsda
         from tests.personalize.test_upm import two_topic_log
 
         log = two_topic_log()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.graphs.multibipartite import BIPARTITE_KINDS
 from repro.graphs.shard import ShardPlan, build_shard_slices, stitch_slices
+from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.stream.delta import StreamState
@@ -24,6 +25,7 @@ from repro.synth.world import make_world
 from repro.utils.text import normalize_query
 
 N_SHARDS = 4
+_T0 = 1_700_000_000.0
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,23 @@ def _assert_csr_equal(left, right):
         np.asarray(left.indices, dtype=np.int64),
         np.asarray(right.indices, dtype=np.int64),
     )
+
+
+def _assert_slices_match_batch(snapshot, plan):
+    """Every streamed slice equals slicing the snapshot's full plane."""
+    batch = build_shard_slices(snapshot.matrices, plan, snapshot.multibipartite)
+    assert set(snapshot.shard_slices) == set(batch)
+    for shard_id, theirs in batch.items():
+        ours = snapshot.shard_slices[shard_id]
+        assert ours.queries == theirs.queries
+        assert np.array_equal(ours.rows, theirs.rows)
+        assert ours.closed == theirs.closed
+        assert (ours.gram is None) == (theirs.gram is None)
+        for kind in BIPARTITE_KINDS:
+            assert ours.facet_names[kind] == theirs.facet_names[kind]
+            _assert_csr_equal(ours.incidence[kind], theirs.incidence[kind])
+            if theirs.gram is not None:
+                _assert_csr_equal(ours.gram[kind], theirs.gram[kind])
 
 
 class TestDeltaBookkeeping:
@@ -150,18 +169,18 @@ class TestPerShardBitIdentity:
         known = set(s0.matrices.queries)
         safe = [r for r in split[1] if normalize_query(r.query) in known][:40]
         state.apply(safe)
-        streamed = state.build_snapshot()
-        batch = build_shard_slices(
-            streamed.matrices, plan, streamed.multibipartite
-        )
-        for shard_id in range(N_SHARDS):
-            ours, theirs = streamed.shard_slices[shard_id], batch[shard_id]
-            assert ours.queries == theirs.queries
-            assert np.array_equal(ours.rows, theirs.rows)
-            assert ours.closed == theirs.closed
-            for kind in BIPARTITE_KINDS:
-                assert ours.facet_names[kind] == theirs.facet_names[kind]
-                _assert_csr_equal(ours.incidence[kind], theirs.incidence[kind])
+        _assert_slices_match_batch(state.build_snapshot(), plan)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_each_epoch_matches_batch(self, split, n_shards, weighted):
+        plan = ShardPlan.hashed(n_shards)
+        state, s0 = _bootstrapped(split, weighted=weighted, plan=plan)
+        _assert_slices_match_batch(s0, plan)
+        tail = split[1]
+        for lo in range(0, len(tail), 40):
+            state.apply(tail[lo : lo + 40])
+            _assert_slices_match_batch(state.build_snapshot(), plan)
 
     def test_stitched_slices_reassemble_the_snapshot_matrices(self, split):
         state, s0 = _bootstrapped(split)
@@ -176,6 +195,67 @@ class TestPerShardBitIdentity:
             _assert_csr_equal(
                 stitched.incidence[kind], snapshot.matrices.incidence[kind]
             )
+
+
+class TestDirtyShortCircuit:
+    """Snapshots re-derive exactly the shards whose slices changed."""
+
+    def test_untouched_snapshot_skips_slice_derivation(
+        self, records, monkeypatch
+    ):
+        plan = ShardPlan.hashed(4)
+        state = StreamState(weighted=False, shard_plan=plan)
+        state.apply(records[:80])
+        first = state.build_snapshot()
+
+        import repro.stream.delta as delta_module
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("slice derivation ran on an empty delta")
+
+        monkeypatch.setattr(delta_module, "build_shard_slices", _boom)
+        # Empty-query records grow the log but touch no shard; with raw
+        # counts that leaves every slice byte-stable.
+        state.apply(
+            [
+                QueryRecord(
+                    user_id="u-blank",
+                    query="???",
+                    timestamp=_T0,
+                    clicked_url=None,
+                )
+            ]
+        )
+        second = state.build_snapshot()
+        assert second.shard_updates == {}
+        for shard_id, piece in second.shard_slices.items():
+            assert piece is first.shard_slices[shard_id]
+
+    def test_foreign_impurity_rederives_flipped_shard(self):
+        """A foreign edge that opens a closed shard must dirty it."""
+        plan = ShardPlan.hashed(2)
+        state = StreamState(weighted=False, shard_plan=plan)
+        state.apply(
+            [
+                QueryRecord("u1", "alpha beam", _T0, clicked_url="http://a"),
+                QueryRecord("u2", "delta flux", _T0 + 1, clicked_url="http://d"),
+            ]
+        )
+        base = state.build_snapshot()
+        home = plan.shard_of("alpha beam")
+        assert plan.shard_of("delta flux") != home
+        assert all(piece.closed for piece in base.shard_slices.values())
+        _assert_slices_match_batch(base, plan)
+        # "alpha beam" clicking the other shard's URL impurifies that
+        # column: the delta touches one shard, but both shards open.
+        delta = state.apply(
+            [QueryRecord("u1", "alpha beam", _T0 + 9, clicked_url="http://d")]
+        )
+        assert delta.touched_shards == frozenset([home])
+        cross = state.build_snapshot()
+        assert not any(piece.closed for piece in cross.shard_slices.values())
+        assert set(cross.shard_updates) == {0, 1}
+        _assert_slices_match_batch(cross, plan)
 
 
 class TestEpochPlumbing:
