@@ -45,15 +45,6 @@ fewer than 2 CPUs, where no scaling is physically available).
 
 Every requested section runs even after a gate fails, so one failure
 never hides another; the exit status is 1 if any gate failed.
-``--shards N`` adds sharded sections: the serve record gains pooled QPS
-over the partitioned plane at shard counts {1, N} (per-shard segment
-bytes, cross-shard spill rate, QPS vs. the unsharded pool, bit-identity
-against the single-process path — shards=1 doubles as the no-regression
-control), and the ingest record gains per-shard fold/publish stats for
-the same shard counts (epochs carrying per-shard update sets, mean
-updates per epoch, throughput vs. the unsharded stream); any sharded
-geometry whose answers diverge from the single-process path fails the
-run.
 ``--http`` adds an ``"http"`` section to the same record: the async
 front-end measured over real sockets — normal-load QPS and p50/p99 with
 every answer checked bit-identical to ``suggest_batch`` (shed counters
@@ -79,7 +70,7 @@ reader can tell a CI smoke number from a full-protocol sweep.
 Usage::
 
     PYTHONPATH=src python scripts/bench_smoke.py [--full|--quick]
-        [--ingest] [--upm] [--obs] [--serve] [--shards N] [--http]
+        [--ingest] [--upm] [--obs] [--serve] [--http]
         [--max-overhead-ratio R] [--min-serve-scaling R]
 """
 
@@ -214,9 +205,11 @@ def run_sweep(scales: tuple[int, ...]) -> dict:
         for name, suggester in systems.items():
             measured = measure_latency(suggester, probes, k=10)
             row["mean_latency_ms"][name] = measured.mean_seconds * 1000
-        # Warm-cache pass: the same workload served again through the
-        # batch API, now hitting the serving cache on every request.
-        requests = [SuggestRequest(query=q, k=10) for q in probes]
+        # Warm-cache pass through the batch API.  The probes carry a
+        # search context, so each request runs the solve and the walk on
+        # its warm compact entry instead of returning a memoized ranking.
+        requests = _context_requests(probes)
+        measure_batch_latency(pqsda, requests)  # cold pass fills the cache
         warm = measure_batch_latency(pqsda, requests)
         row["pqsda_warm_batch_ms"] = warm.mean_seconds * 1000
         row["pqsda_cache"] = {
@@ -255,26 +248,13 @@ def run_sweep(scales: tuple[int, ...]) -> dict:
     return result
 
 
-def run_ingest_bench(
-    n_users: int = INGEST_USERS_QUICK, n_shards: int = 0
-) -> dict:
+def run_ingest_bench(n_users: int = INGEST_USERS_QUICK) -> dict:
     """Stream 30% of a log into a 70% bootstrap; record throughput + latency.
 
     The warm latencies time probes that carry a search context
     (:func:`_context_requests`), so each request runs the solve and the
     walk on its warm compact entry instead of returning a memoized
     ranking.
-
-    With *n_shards* the stream is replayed again over sharded states and
-    the record gains a ``sharded`` section, one entry per shard count in
-    ``{1, n_shards}`` (the 1-shard row is the no-regression control).
-    Each entry carries ingest throughput relative to the unsharded run,
-    the fold-only vs end-to-end split, and a ``bit_identical`` check of
-    the post-stream suggestions against the batch rebuild.  The default
-    config is cfiqf-weighted, whose epoch-level |Q| correction rescales
-    every facet weight — so every epoch legitimately republishes all
-    shards; the recorded ``mean_shard_updates_per_epoch`` documents
-    exactly that cost.
     """
     from repro.stream import IngestConfig, replay, streaming_pqsda
 
@@ -340,82 +320,6 @@ def run_ingest_bench(
             warm_stream.mean_seconds / warm_batch.mean_seconds, 3
         ),
     }
-    if n_shards > 0:
-        from repro.graphs.shard import ShardPlan
-
-        expected = reference.suggest_batch(requests)
-        sharded = []
-        for count in dict.fromkeys((1, n_shards)):
-            suggester_s, ingestor_s, manager_s = streaming_pqsda(
-                bootstrap,
-                config=pq_config,
-                ingest=IngestConfig(batch_size=256, epoch_every=1, clean=False),
-                shard_plan=ShardPlan.hashed(count),
-            )
-            tally = {"epochs": 0, "updates": 0, "full": 0}
-
-            def _tally(epoch, tally=tally) -> None:
-                if epoch.shard_updates is None:
-                    tally["full"] += 1
-                else:
-                    tally["epochs"] += 1
-                    tally["updates"] += len(epoch.shard_updates)
-
-            manager_s.subscribe(_tally)
-            report_s = ingestor_s.ingest(replay(tail))
-            entry = {
-                "n_shards": count,
-                "ingest_records_per_second": report_s.records_per_second,
-                "fold_records_per_second": report_s.fold_records_per_second,
-                "fold_seconds": round(report_s.fold_seconds, 3),
-                "publish_seconds": round(report_s.publish_seconds, 3),
-                "throughput_vs_unsharded": round(
-                    report_s.records_per_second / report.records_per_second,
-                    3,
-                ),
-                "epochs_published": manager_s.stats.published,
-                "epochs_with_shard_updates": tally["epochs"],
-                "full_publishes": tally["full"],
-                "shard_updates_total": tally["updates"],
-                "mean_shard_updates_per_epoch": round(
-                    tally["updates"] / tally["epochs"], 2
-                ) if tally["epochs"] else 0.0,
-                "bit_identical": (
-                    suggester_s.suggest_batch(requests) == expected
-                ),
-            }
-            # Live tails keep minting new queries, which renumber the
-            # global ordinals and force full publishes — so the tail
-            # replay above never shows the per-shard path.  Replay a
-            # slice of now-known records to measure it: no new queries,
-            # every epoch carries a per-shard update set.
-            before = dict(tally)
-            ingestor_s.ingest(replay(tail[:120]))
-            epochs_known = tally["epochs"] - before["epochs"]
-            updates_known = tally["updates"] - before["updates"]
-            entry["known_replay"] = {
-                "records": min(120, len(tail)),
-                "epochs_with_shard_updates": epochs_known,
-                "full_publishes": tally["full"] - before["full"],
-                "mean_shard_updates_per_epoch": round(
-                    updates_known / epochs_known, 2
-                ) if epochs_known else 0.0,
-            }
-            sharded.append(entry)
-            print(
-                f"ingest[shards={count}]: "
-                f"{report_s.records_per_second:,.0f} records/s "
-                f"(x{entry['throughput_vs_unsharded']} vs unsharded, "
-                f"fold-only {report_s.fold_records_per_second:,.0f}), "
-                f"{entry['epochs_with_shard_updates']}"
-                f"/{entry['epochs_published']} tail epochs carried "
-                f"per-shard updates; known replay: "
-                f"{entry['known_replay']['mean_shard_updates_per_epoch']} "
-                f"shard updates/epoch over "
-                f"{entry['known_replay']['epochs_with_shard_updates']} "
-                f"epochs, bit_identical={entry['bit_identical']}"
-            )
-        row["sharded"] = sharded
     print(
         f"ingest: {report.records_ingested} records at "
         f"{report.records_per_second:,.0f} records/s, "
@@ -709,14 +613,8 @@ def _rss_kb() -> int:
 
 SERVE_HOT_TOP = 20
 
-#: Worker count the sharded serve section runs at — the smallest pool
-#: where both parallel serving and cross-shard routing are exercised.
-SHARD_BENCH_WORKERS = 2
 
-
-def run_serve_bench(
-    n_users: int = 60, rounds: int = 3, n_shards: int = 0
-) -> dict:
+def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
     """Pooled QPS at 1/2/4 workers vs. the single-process serving path.
 
     One representation build; per worker count, two pools are measured:
@@ -739,14 +637,6 @@ def run_serve_bench(
     ``segment_mb`` counts the shared matrix bytes once — the marginal
     per-worker memory is each worker's own RSS (interpreter + caches),
     not another copy of the matrices.
-
-    With *n_shards* the record gains a ``sharded`` section: the same
-    workload served by ``SHARD_BENCH_WORKERS``-worker pools over the
-    partitioned plane at shard counts ``{1, n_shards}``, recording
-    per-shard segment bytes, the cross-shard spill rate, QPS relative to
-    the unsharded pool at the same worker count, and bit-identity
-    against the single-process path.  The 1-shard row is the
-    no-regression control: one segment behind the sharded routing path.
     """
     from repro.core.suggester import head_queries
     from repro.serve.pool import SuggestWorkerPool
@@ -869,61 +759,6 @@ def run_serve_bench(
     base_qps = row["workers"][0]["qps"]
     for entry in row["workers"]:
         entry["scaling_vs_1_worker"] = round(entry["qps"] / base_qps, 2)
-    if n_shards > 0:
-        unsharded_qps = next(
-            entry["qps"]
-            for entry in row["workers"]
-            if entry["n_workers"] == SHARD_BENCH_WORKERS
-        )
-        sharded: dict = {
-            "n_workers": SHARD_BENCH_WORKERS,
-            "unsharded_qps": unsharded_qps,
-            "shards": [],
-        }
-        for count in sorted({1, n_shards}):
-            with SuggestWorkerPool.from_suggester(
-                suggester,
-                n_workers=SHARD_BENCH_WORKERS,
-                prefix=f"benchsh{count}",
-                n_shards=count,
-            ) as pool:
-                qps, identical, _ = timed_qps(pool)
-                identical = identical and (
-                    pool.suggest_many(bare) == expected_bare
-                )
-                stats = pool.stats()
-                sizes = list(pool.shard_segment_bytes.values())
-                spills = sum(
-                    worker.spill["spills"]
-                    for worker in stats.workers
-                    if worker.spill is not None
-                )
-                walks = sum(
-                    worker.spill["walks"]
-                    for worker in stats.workers
-                    if worker.spill is not None
-                )
-            entry = {
-                "n_shards": count,
-                "qps": round(qps, 1),
-                "qps_vs_unsharded": round(qps / unsharded_qps, 3),
-                "bit_identical": identical,
-                "segment_mb": round(sum(sizes) / 1e6, 3),
-                "shard_segment_kb": [round(b / 1024, 1) for b in sizes],
-                "spills": spills,
-                "walks": walks,
-                "spill_fraction": round(spills / walks, 4) if walks else 0.0,
-            }
-            sharded["shards"].append(entry)
-            print(
-                f"serve[shards={count}]: {SHARD_BENCH_WORKERS} workers: "
-                f"{qps:7.1f} QPS "
-                f"(x{entry['qps_vs_unsharded']} vs unsharded), "
-                f"spill rate {entry['spill_fraction']:.1%}, "
-                f"bit_identical={identical}, "
-                f"segments={entry['shard_segment_kb']}KB"
-            )
-        row["sharded"] = sharded
     return row
 
 
@@ -1277,13 +1112,6 @@ def main() -> int:
         "(CI uses 1.3; auto-skipped on machines with fewer than 2 CPUs)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also benchmark the sharded graph plane at shard counts "
-        "{1, N}: sharded serve QPS + spill rate into the serve record, "
-        "per-shard fold/publish stats into the ingest record (implies "
-        "--serve and --ingest; 0 = off)",
-    )
-    parser.add_argument(
         "--personalize", action="store_true",
         help="also benchmark personalized serving over the shared profile "
         "plane (personalized vs. anonymous QPS at 1/2/4 workers; implies "
@@ -1333,9 +1161,6 @@ def main() -> int:
         args.obs = True
     if args.min_serve_scaling is not None or args.personalize or args.http:
         args.serve = True
-    if args.shards > 0:
-        args.serve = True
-        args.ingest = True
     mode = "full" if args.full else "quick"
     scales = USER_SCALES if args.full else USER_SCALES[:1]
     record = {
@@ -1348,6 +1173,7 @@ def main() -> int:
             "candidate_pool": 25,
         },
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         **run_sweep(scales),
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
@@ -1369,20 +1195,12 @@ def main() -> int:
                 n_users=(
                     INGEST_USERS_FULL if args.full else INGEST_USERS_QUICK
                 ),
-                n_shards=args.shards,
             ),
         }
         Path(args.ingest_output).write_text(
             json.dumps(ingest_record, indent=2) + "\n"
         )
         print(f"wrote {args.ingest_output}")
-        broken = [
-            f"shards={entry['n_shards']}"
-            for entry in ingest_record.get("sharded", ())
-            if not entry["bit_identical"]
-        ]
-        if broken:
-            fail("sharded ingest not bit-identical at " + ", ".join(broken))
     if args.upm:
         upm_record = {
             "benchmark": "upm_training",
@@ -1417,9 +1235,7 @@ def main() -> int:
                 f" exceeds the x{args.max_overhead_ratio} bound"
             )
     if args.serve:
-        serve_row = run_serve_bench(
-            rounds=2 if args.quick else 3, n_shards=args.shards
-        )
+        serve_row = run_serve_bench(rounds=2 if args.quick else 3)
         personal_row = None
         if args.personalize:
             personal_row = run_serve_personalize_bench(
@@ -1443,14 +1259,6 @@ def main() -> int:
         print(f"wrote {args.serve_output}")
         if not all(entry["bit_identical"] for entry in serve_row["workers"]):
             fail("pooled output diverged from the single-process path")
-        sharded = serve_row.get("sharded")
-        if sharded is not None and not all(
-            entry["bit_identical"] for entry in sharded["shards"]
-        ):
-            fail(
-                "sharded pooled output diverged from the "
-                "single-process path"
-            )
         if personal_row is not None and not all(
             entry["bit_identical"] for entry in personal_row["workers"]
         ):

@@ -45,6 +45,17 @@ from repro.topicmodels.zoo import MODEL_NAMES
 __all__ = ["main", "build_parser"]
 
 
+def _count(text: str) -> int:
+    """argparse ``type=`` for count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -70,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="input query (repeat for a batch)")
     suggest.add_argument("--user", default=None,
                          help="AnonID to personalize for")
-    suggest.add_argument("--k", type=int, default=10)
-    suggest.add_argument("--workers", type=int, default=1,
+    suggest.add_argument("--k", type=_count, default=10)
+    suggest.add_argument("--workers", type=_count, default=1,
                          help="thread-pool size for batched suggestion")
     suggest.add_argument("--cache-stats", action="store_true",
                          help="print serving-cache hit/miss counters")
@@ -134,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--bootstrap", type=float, default=0.7,
                         help="fraction of the log (time-ordered) used to "
                              "bootstrap epoch 0; the rest is streamed")
-    ingest.add_argument("--batch-size", type=int, default=256,
+    ingest.add_argument("--batch-size", type=_count, default=256,
                         help="records per micro-batch")
-    ingest.add_argument("--epoch-every", type=int, default=1,
+    ingest.add_argument("--epoch-every", type=_count, default=1,
                         help="micro-batches per published epoch")
     ingest.add_argument("--replay", type=float, default=0.0, metavar="SPEEDUP",
                         help="pace the stream by timestamp gaps compressed "
@@ -144,12 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--probe", default=None,
                         help="query to suggest for before and after the "
                              "stream (default: most frequent bootstrap query)")
-    ingest.add_argument("--k", type=int, default=10)
+    ingest.add_argument("--k", type=_count, default=10)
     ingest.add_argument("--compact-size", type=int, default=150)
-    ingest.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="shard the query side N ways: epochs carry "
-                             "per-shard slices and minimal update sets "
-                             "(0 = unsharded)")
     ingest.add_argument("--metrics-out", default=None, metavar="JSON",
                         help="attach a metrics registry to the streaming "
                              "stack and write its snapshot here")
@@ -163,14 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("query", nargs="*",
                        help="queries to serve (default: the 20 most "
                             "frequent log queries)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_count, default=2,
                        help="suggest worker processes")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="partition the graph plane into N shared-memory "
-                            "segments; workers attach only the shards they "
-                            "serve (0 = one monolithic segment)")
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--rounds", type=int, default=1,
+    serve.add_argument("--k", type=_count, default=10)
+    serve.add_argument("--rounds", type=_count, default=1,
                        help="times to replay the request set "
                             "(throughput measurement)")
     serve.add_argument("--compact-size", type=int, default=150)
@@ -440,11 +443,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         diversify=DiversifyConfig(k=args.k),
         personalize=False,
     )
-    shard_plan = None
-    if args.shards > 0:
-        from repro.graphs.shard import ShardPlan
-
-        shard_plan = ShardPlan.hashed(args.shards)
     registry = _make_registry(args.metrics_out)
     suggester, ingestor, manager = streaming_pqsda(
         bootstrap,
@@ -456,16 +454,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             clean=False,
         ),
         registry=registry,
-        shard_plan=shard_plan,
     )
-    shard_publishes = {"epochs": 0, "updates": 0}
-    if shard_plan is not None:
-        def _count_shard_updates(epoch) -> None:
-            if epoch.shard_updates is not None:
-                shard_publishes["epochs"] += 1
-                shard_publishes["updates"] += len(epoch.shard_updates)
-
-        manager.subscribe(_count_shard_updates)
     probe = args.probe
     if probe is None:
         frequency = Counter(normalize_query(r.query) for r in bootstrap)
@@ -493,15 +482,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"published={epochs.published} retired={epochs.retired} "
         f"live={epochs.live}"
     )
-    if shard_plan is not None:
-        streamed = max(1, report.epochs_published)
-        print(
-            f"shards: {args.shards}-way plan, "
-            f"{shard_publishes['epochs']}/{report.epochs_published} epochs "
-            f"carried per-shard updates "
-            f"({shard_publishes['updates'] / streamed:.1f} shard "
-            f"updates/epoch)"
-        )
     cache = suggester.cache_stats
     print(
         f"cache: {cache.hits} hits, {cache.misses} misses, "
@@ -605,26 +585,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry=registry,
         hot_queries=hot_queries,
         hot_top=args.hot_top,
-        n_shards=max(0, args.shards),
     )
     try:
-        if pool.n_shards:
-            sizes = pool.shard_segment_bytes
-            print(
-                f"pool: {pool.n_workers} workers over {pool.n_shards} "
-                f"shard segments, {pool.segment_bytes / 1e6:.1f} MB total "
-                f"(per shard: "
-                + ", ".join(
-                    f"{sizes[s] / 1e6:.1f}" for s in sorted(sizes)
-                )
-                + " MB)"
-            )
-        else:
-            print(
-                f"pool: {pool.n_workers} workers over a "
-                f"{pool.segment_bytes / 1e6:.1f} MB shared segment "
-                f"({pool.segment_name})"
-            )
+        print(
+            f"pool: {pool.n_workers} workers over a "
+            f"{pool.segment_bytes / 1e6:.1f} MB shared segment "
+            f"({pool.segment_name})"
+        )
         if pool.hot_entries:
             print(f"hot tier: {pool.hot_entries} precomputed head queries")
         if pool.serves_profiles:
@@ -663,11 +630,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 line += (
                     f", profile views: {worker.profile_shares_memory} "
                     f"(gen {worker.profile_generation})"
-                )
-            if worker.spill is not None:
-                line += (
-                    f", spills {worker.spill['spills']}"
-                    f"/{worker.spill['walks']} walks"
                 )
             print(line)
         if not args.quiet:

@@ -361,16 +361,9 @@ class CompactCache:
     ) -> CompactEntry:
         chosen = expander.expand(seeds, compact)
         full_matrices = expander.matrices
-        # Shard-aware planes compact by query *name* (their local ordinal
-        # spaces are ambiguous); the unsharded path keeps slicing by global
-        # ordinal.  Both produce bit-identical compact matrices.
-        restrict_names = getattr(full_matrices, "restrict_names", None)
-        if restrict_names is not None:
-            matrices = restrict_names(chosen)
-        else:
-            full_index = full_matrices.query_index
-            ordinals = sorted(full_index[query] for query in chosen)
-            matrices = full_matrices.restrict(ordinals)
+        full_index = full_matrices.query_index
+        ordinals = sorted(full_index[query] for query in chosen)
+        matrices = full_matrices.restrict(ordinals)
         return CompactEntry(
             queries=chosen,
             matrices=matrices,

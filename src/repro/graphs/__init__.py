@@ -11,9 +11,7 @@
 * :mod:`compact <repro.graphs.compact>` — compact neighbourhood extraction
   by Markov random walk (Sec. IV-A);
 * :mod:`matrices <repro.graphs.matrices>` — the normalized matrices
-  ``W^X``, ``D^X`` and ``L^X`` that the diversification component consumes;
-* :mod:`shard <repro.graphs.shard>` — query-side sharding of the graph
-  plane with bit-identical shard-aware random walks.
+  ``W^X``, ``D^X`` and ``L^X`` that the diversification component consumes.
 """
 
 from repro.graphs.bipartite import Bipartite
@@ -25,13 +23,6 @@ from repro.graphs.multibipartite import (
     MultiBipartite,
     build_multibipartite,
 )
-from repro.graphs.shard import (
-    ShardedExpander,
-    ShardPlan,
-    ShardSlice,
-    build_shard_slices,
-    stitch_slices,
-)
 from repro.graphs.weighting import apply_cfiqf, iqf
 
 __all__ = [
@@ -41,15 +32,10 @@ __all__ = [
     "ClickGraph",
     "CompactConfig",
     "MultiBipartite",
-    "ShardPlan",
-    "ShardSlice",
-    "ShardedExpander",
     "apply_cfiqf",
     "build_click_graph",
     "build_matrices",
     "build_multibipartite",
-    "build_shard_slices",
     "compact_subgraph",
     "iqf",
-    "stitch_slices",
 ]

@@ -72,10 +72,9 @@ Shared profile plane (personalized serving)
     graph and profiles together in one swap.
 
 Generation manifest (epoch-consistent publication)
-    A serving generation is a **manifest**: its graph segment(s) — one
-    segment, or one per shard — plus its profile segment.  Every publish
+    A serving generation is a **manifest**: its graph segment plus its
+    profile segment.  Every publish
     (:meth:`~SuggestWorkerPool.publish_plane`,
-    :meth:`~SuggestWorkerPool.publish_shard`,
     :meth:`~SuggestWorkerPool.publish_profiles`,
     :meth:`~SuggestWorkerPool.publish_epoch`) packs only the segments it
     replaces and goes through one swap path: a single ``gen`` message
@@ -110,7 +109,6 @@ import traceback
 import zlib
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from collections.abc import Mapping
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -119,12 +117,6 @@ from repro.core.config import PQSDAConfig
 from repro.core.serving import CacheStats
 from repro.core.suggester import PQSDA
 from repro.graphs.compact import RandomWalkExpander
-from repro.graphs.shard import (
-    ShardPlan,
-    ShardSlice,
-    ShardedExpander,
-    build_shard_slices,
-)
 from repro.logs.schema import QueryRecord
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.personalize.profiles import (
@@ -137,11 +129,6 @@ from repro.serve.profile_plane import (
     SharedProfileMeta,
     SharedProfileStore,
 )
-from repro.serve.shard_plane import (
-    AttachedShardedPlane,
-    ShardSegmentMeta,
-    SharedShardStore,
-)
 from repro.serve.shm import (
     AttachedPlane,
     SharedHotTable,
@@ -153,7 +140,6 @@ from repro.utils.text import normalize_query
 
 __all__ = [
     "PoolStats",
-    "ShardedPlaneHandle",
     "SuggestError",
     "SuggestWorkerPool",
     "WorkerStats",
@@ -164,120 +150,29 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 @dataclass(frozen=True)
-class ShardedPlaneHandle:
-    """Picklable manifest of one sharded generation: plan + shard metas.
-
-    The sharded analogue of a :class:`~repro.serve.shm.SharedPlaneMeta`:
-    one handle describes every shard's segment, and each worker derives
-    its own home-shard set from its worker id (see :func:`_home_shards`),
-    so a full swap broadcasts a single object down every request queue.
-    """
-
-    plan: ShardPlan
-    metas: dict[int, ShardSegmentMeta]
-    n_workers: int
-
-
-def _home_shards(worker_id: int, n_workers: int, n_shards: int) -> list[int]:
-    """The shards worker *worker_id* attaches eagerly (serves as home).
-
-    With at least as many shards as workers, shards stripe over workers
-    (``shard % n_workers``); with fewer shards than workers, each worker
-    homes exactly one shard (``worker % n_shards``) and shards are
-    replicated across the workers that map to them.
-    """
-    if n_shards >= n_workers:
-        return [s for s in range(n_shards) if s % n_workers == worker_id]
-    return [worker_id % n_shards]
-
-
-def _shard_route(shard_id: int, crc: int, n_workers: int, n_shards: int) -> int:
-    """Worker serving *shard_id* for a query with routing hash *crc*.
-
-    The exact inverse of :func:`_home_shards`: striped shards route to
-    their unique owner; replicated shards (fewer shards than workers)
-    spread over their replica set by the query hash, so repeats of a
-    query still land on one worker and hit its compact-entry cache.
-    """
-    if n_shards >= n_workers:
-        return shard_id % n_workers
-    replicas = [w for w in range(n_workers) if w % n_shards == shard_id]
-    return replicas[crc % len(replicas)]
-
-
-def _attach_worker_plane(meta, worker_id: int):
-    """Attach whichever plane flavor *meta* describes (full or sharded)."""
-    if isinstance(meta, ShardedPlaneHandle):
-        return AttachedShardedPlane(
-            meta.metas,
-            meta.plan,
-            _home_shards(worker_id, meta.n_workers, meta.plan.n_shards),
-        )
-    return AttachedPlane(meta)
-
-
-class _ShardedHotView:
-    """Parent-side hot-table lookup composed over per-shard partitions.
-
-    Each shard's hot entries live in that shard's segment, so a
-    per-shard swap replaces exactly one partition (:meth:`updated`);
-    lookups route by the plan's home-shard hash like every other request.
-    """
-
-    def __init__(
-        self, plan: ShardPlan, tables: Mapping[int, SharedHotTable | None]
-    ) -> None:
-        self._plan = plan
-        self._tables = {
-            shard_id: table
-            for shard_id, table in tables.items()
-            if table is not None
-        }
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables.values())
-
-    def lookup(self, normalized_query: str) -> list[str] | None:
-        table = self._tables.get(self._plan.shard_of(normalized_query))
-        return table.lookup(normalized_query) if table is not None else None
-
-    def updated(
-        self, tables: Mapping[int, SharedHotTable | None]
-    ) -> "_ShardedHotView":
-        """This view with the partitions in *tables* replaced.
-
-        A ``None`` table drops its shard's partition.
-        """
-        return _ShardedHotView(self._plan, {**self._tables, **tables})
-
-
-@dataclass(frozen=True)
 class _Generation:
     """The parent's state of one serving generation, swapped as a unit.
 
-    ``graph`` (shard id -> segment store; the single-segment plane is
-    shard 0) and ``profiles`` are the generation's **manifest**: the
+    ``graph`` and ``profiles`` are the generation's **manifest**: the
     shared-memory segments workers attach.  The other fields are what the
     parent serves and publishes against while the generation is current.
     A publish derives the successor with :func:`dataclasses.replace` and
     commits it with one reference assignment.
     """
 
-    graph: Mapping[int, SharedMatrixStore | SharedShardStore]
+    graph: SharedMatrixStore | None
     profiles: SharedProfileStore | None
     multibipartite: object
-    slices: Mapping[int, ShardSlice]
-    hot: SharedHotTable | _ShardedHotView | None
+    hot: SharedHotTable | None
     hot_queries: list[str] | None
     profiled_users: frozenset[str]
 
     @property
     def stores(self) -> list:
         """Every segment store of the manifest."""
-        stores = list(self.graph.values())
-        if self.profiles is not None:
-            stores.append(self.profiles)
-        return stores
+        return [
+            store for store in (self.graph, self.profiles) if store is not None
+        ]
 
     @property
     def profile_generation(self) -> int:
@@ -404,33 +299,6 @@ def _rss_kb() -> int:
     return 0
 
 
-def _remap_graph(plane, old, new, worker_id: int):
-    """Move a worker's graph *plane* from manifest part *old* to *new*.
-
-    Returns the plane to serve from, or ``None`` when no segment name
-    changed.  A sharded generation that replaces only some shards remaps
-    just those in place (per-shard publishes keep each shard's query
-    set, so nothing renumbers); any other change attaches the new
-    generation afresh, and the caller closes the old plane once nothing
-    references it.
-    """
-    if isinstance(new, ShardedPlaneHandle):
-        changed = [
-            meta
-            for shard_id, meta in sorted(new.metas.items())
-            if meta.segment != old.metas[shard_id].segment
-        ]
-        if not changed:
-            return None
-        if len(changed) < len(new.metas):
-            for meta in changed:
-                plane.update_shard(meta)
-            return plane
-    elif new.segment == old.segment:
-        return None
-    return _attach_worker_plane(new, worker_id)
-
-
 def _worker_main(
     worker_id: int,
     graph,
@@ -442,10 +310,7 @@ def _worker_main(
 ) -> None:
     """One suggest worker: attach, serve, move generations, report stats.
 
-    *graph* and *profile_meta* are the bootstrap manifest.  *graph* is
-    either a :class:`~repro.serve.shm.SharedPlaneMeta` (the
-    single-segment plane) or a :class:`ShardedPlaneHandle` (one segment
-    per shard; this worker eagerly attaches only its home shards).
+    *graph* and *profile_meta* are the bootstrap manifest.
 
     The loop is strictly serial, which is the torn-view guarantee: a
     ``gen`` message is only ever handled between two requests, so every
@@ -456,7 +321,7 @@ def _worker_main(
     # publisher's resource_tracker fd, so attach-time registrations land in
     # the publisher's registry where they are idempotent — no untracking.
     attach_start = time.perf_counter()
-    plane = _attach_worker_plane(graph, worker_id)
+    plane = AttachedPlane(graph)
     profile_plane = (
         AttachedProfilePlane(profile_meta) if profile_meta is not None else None
     )
@@ -522,13 +387,12 @@ def _worker_main(
                 swap_start = time.perf_counter()
                 error = None
                 try:
-                    moved = _remap_graph(plane, graph, new_graph, worker_id)
-                    if moved is not None:
+                    if new_graph.segment != graph.segment:
+                        moved = AttachedPlane(new_graph)
                         pqsda.rebind_representation(
                             moved.representation, moved.expander
                         )
-                        if moved is not plane:
-                            plane.close()
+                        plane.close()
                         plane = moved
                     graph = new_graph
                     if new_profile_meta is not None and (
@@ -562,17 +426,6 @@ def _worker_main(
             elif kind == "stats":
                 (_, token) = message
                 uptime = time.perf_counter() - started
-                spill = None
-                if isinstance(plane, AttachedShardedPlane):
-                    spill = plane.expander.spill_stats()
-                    registry.gauge("serve.shard.walks").set(spill["walks"])
-                    registry.gauge("serve.shard.spills").set(spill["spills"])
-                    registry.gauge("serve.shard.spill_fraction").set(
-                        spill["spill_fraction"]
-                    )
-                    registry.gauge("serve.shard.foreign_attaches").set(
-                        spill["foreign_attaches"]
-                    )
                 ack_queue.put(
                     (
                         "stats",
@@ -601,7 +454,6 @@ def _worker_main(
                                 else True
                             ),
                             "cache": asdict(pqsda.cache_stats),
-                            "spill": spill,
                             "snapshot": registry.snapshot(),
                         },
                     )
@@ -635,8 +487,6 @@ class WorkerStats:
         profile_users: Users in the worker's attached profile store.
         profile_shares_memory: Whether every profile payload is still a
             shared view (vacuously true without profiles).
-        spill: Shard-walk spill counters of the worker's sharded
-            expander (``None`` when the pool serves the unsharded plane).
     """
 
     worker_id: int
@@ -653,7 +503,6 @@ class WorkerStats:
     profile_generation: int = 0
     profile_users: int = 0
     profile_shares_memory: bool = True
-    spill: dict | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -676,11 +525,6 @@ class PoolStats:
             (0 = the pool serves without the profile plane).
         profile_generation: Current profile generation ordinal.
         profile_segment_bytes: Bytes of the current profile segment.
-        n_shards: Shards of the current plan (0 = unsharded plane).
-        shard_segment_bytes: Per-shard segment sizes, indexed by shard id
-            (empty when unsharded).
-        shard_epoch_ids: Per-shard epoch ordinals — independent per-shard
-            publishes make these diverge on purpose.
     """
 
     n_workers: int
@@ -693,9 +537,6 @@ class PoolStats:
     profile_users: int = 0
     profile_generation: int = 0
     profile_segment_bytes: int = 0
-    n_shards: int = 0
-    shard_segment_bytes: tuple[int, ...] = ()
-    shard_epoch_ids: tuple[int, ...] = ()
 
     @property
     def total_requests(self) -> int:
@@ -739,18 +580,6 @@ class SuggestWorkerPool:
             the epoch's log and rebuilds the table against the new
             generation (explicit ``hot_queries`` seed the table until the
             first epoch arrives).
-        n_shards: Partition the graph plane into this many per-shard
-            segments (0 = the single-segment plane).  Sharded serving is
-            bit-identical to unsharded at any shard count; requests route
-            by the shard plan composed with the worker stripe, each
-            worker eagerly attaches only its home shards, and per-shard
-            epoch publishes (:meth:`publish_shard`, or
-            :meth:`publish_epoch` with per-shard updates) swap only the
-            touched shards' segments.  Requires *multibipartite* (the
-            facet vocabularies make shard slices stitchable).
-        shard_plan: An explicit :class:`~repro.graphs.shard.ShardPlan`
-            (e.g. a component-packed plan so walks never spill);
-            overrides *n_shards*.
 
     Use as a context manager (or call :meth:`close`): shutdown stops the
     workers and unlinks the current segments, leaving nothing in
@@ -771,8 +600,6 @@ class SuggestWorkerPool:
         prefix: str = "pqsda",
         hot_queries: Sequence[str] | None = None,
         hot_top: int = 0,
-        n_shards: int = 0,
-        shard_plan: ShardPlan | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -784,14 +611,6 @@ class SuggestWorkerPool:
         self._closed = False
         self._hot_top = hot_top
         self._hot_hits_total = 0
-        if shard_plan is None and n_shards > 0:
-            shard_plan = ShardPlan.hashed(n_shards)
-        self._plan = shard_plan
-        if self._plan is not None and multibipartite is None:
-            raise ValueError(
-                "sharded serving needs the multibipartite (its facet "
-                "vocabularies make the shard slices stitchable)"
-            )
 
         registry = registry if registry is not None else NULL_REGISTRY
         self._registry = registry
@@ -810,10 +629,6 @@ class SuggestWorkerPool:
         )
         self._m_profile_users = registry.gauge("serve.profile.users")
         self._m_workers.set(n_workers)
-        self._m_shards = registry.gauge("serve.shard.count")
-        self._m_shard_swaps = registry.counter("serve.shard.swaps")
-        if self._plan is not None:
-            self._m_shards.set(self._plan.n_shards)
 
         context = get_context(start_method)
         self._request_queues = [context.Queue() for _ in range(n_workers)]
@@ -833,10 +648,9 @@ class SuggestWorkerPool:
         self._dispatcher_stop = threading.Event()
         self._dispatcher: threading.Thread | None = None
         self._current = _Generation(
-            graph={},
+            graph=None,
             profiles=None,
             multibipartite=multibipartite,
-            slices={},
             hot=None,
             hot_queries=list(hot_queries) if hot_queries else None,
             profiled_users=frozenset(),
@@ -966,76 +780,9 @@ class SuggestWorkerPool:
     # for what it replaces.
 
     def _manifest(self, generation: _Generation) -> tuple:
-        """What workers attach for *generation*: (graph part, profile meta)."""
+        """What workers attach for *generation*: (graph meta, profile meta)."""
         store = generation.profiles
-        profiles = store.meta if store is not None else None
-        if self._plan is None:
-            return generation.graph[0].meta, profiles
-        handle = ShardedPlaneHandle(
-            plan=self._plan,
-            metas={
-                shard_id: store.meta
-                for shard_id, store in generation.graph.items()
-            },
-            n_workers=self._n_workers,
-        )
-        return handle, profiles
-
-    def _hot_partition(
-        self, hot_table: Mapping[str, Sequence[str]] | None, shard_id: int
-    ) -> dict[str, list[str]] | None:
-        """The slice of *hot_table* homed on *shard_id* (None when empty)."""
-        if not hot_table:
-            return None
-        partition = {
-            query: ranking
-            for query, ranking in hot_table.items()
-            if self._plan.shard_of(query) == shard_id
-        }
-        return partition or None
-
-    def _publish_shard_stores(
-        self,
-        slices: Mapping[int, ShardSlice],
-        epoch_id: int,
-        hot_table: Mapping[str, Sequence[str]] | None,
-        multibipartite,
-    ) -> dict[int, SharedShardStore]:
-        """One fresh segment per shard (hot entries partitioned by home)."""
-        term_bipartite = None
-        if multibipartite is not None:
-            term_bipartite = multibipartite.bipartite("T")
-        stores: dict[int, SharedShardStore] = {}
-        try:
-            for shard_id in sorted(slices):
-                stores[shard_id] = SharedShardStore.publish(
-                    slices[shard_id],
-                    epoch_id=epoch_id,
-                    prefix=f"{self._prefix}-s",
-                    term_bipartite=term_bipartite,
-                    hot_table=self._hot_partition(hot_table, shard_id),
-                )
-        except Exception:
-            _release(stores.values())
-            raise
-        for shard_id, store in stores.items():
-            self._registry.gauge(
-                "serve.shard.segment_bytes", labels={"shard": str(shard_id)}
-            ).set(store.total_bytes)
-        return stores
-
-    def _verified_shard_hot(
-        self,
-        stores: Mapping[int, SharedShardStore],
-        hot_table: Mapping[str, Sequence[str]] | None,
-    ) -> dict[int, SharedHotTable | None]:
-        """Each store's round-trip-verified hot partition (None = empty)."""
-        return {
-            shard_id: _verified_hot_table(
-                store, self._hot_partition(hot_table, shard_id)
-            )
-            for shard_id, store in stores.items()
-        }
+        return generation.graph.meta, store.meta if store is not None else None
 
     def _with_graph(
         self,
@@ -1050,7 +797,7 @@ class SuggestWorkerPool:
         *multibipartite* and *hot_queries* default to the current ones,
         *epoch_id* to the generation being published.  The hot table is
         precomputed against exactly the plane being packed, packed into
-        the same segment(s) and round-trip verified, so it swaps with the
+        the same segment and round-trip verified, so it swaps with the
         plane and no request ever gets a hot answer from a superseded
         generation.
         """
@@ -1065,96 +812,20 @@ class SuggestWorkerPool:
         hot_table = self._compute_hot_table(
             expander, multibipartite, hot_queries
         )
-        slices: dict[int, ShardSlice] = {}
-        if self._plan is None:
-            store = SharedMatrixStore.publish(
-                expander.matrices,
-                expander,
-                multibipartite,
-                epoch_id=epoch_id,
-                prefix=self._prefix,
-                hot_table=hot_table,
-            )
-            graph = {0: store}
-            hot = _verified_hot_table(store, hot_table)
-        else:
-            slices = build_shard_slices(
-                expander.matrices, self._plan, multibipartite
-            )
-            graph = self._publish_shard_stores(
-                slices, epoch_id, hot_table, multibipartite
-            )
-            hot = (
-                _ShardedHotView(
-                    self._plan, self._verified_shard_hot(graph, hot_table)
-                )
-                if hot_table
-                else None
-            )
+        store = SharedMatrixStore.publish(
+            expander.matrices,
+            expander,
+            multibipartite,
+            epoch_id=epoch_id,
+            prefix=self._prefix,
+            hot_table=hot_table,
+        )
         return replace(
             current,
-            graph=graph,
+            graph=store,
             multibipartite=multibipartite,
-            slices=slices,
-            hot=hot,
+            hot=_verified_hot_table(store, hot_table),
             hot_queries=hot_queries,
-        )
-
-    def _with_shards(
-        self,
-        current: _Generation,
-        updates: Mapping[int, ShardSlice],
-        epoch_id: int | None = None,
-        multibipartite=None,
-    ) -> _Generation:
-        """*current* with the shards in *updates* repacked, the rest kept.
-
-        Per-shard updates must keep each shard's query set: new queries
-        renumber the global ordinal space, so deltas carrying them take a
-        full graph publish instead.  The updated shards' hot entries are
-        recomputed against the updated plane, so a hot hit can never
-        disagree with the worker path.
-        """
-        if self._plan is None:
-            raise RuntimeError("pool is not sharded; use publish_plane")
-        for shard_id, piece in updates.items():
-            known = current.slices.get(shard_id)
-            if known is None or known.queries != piece.queries:
-                raise ValueError(
-                    "per-shard publish cannot change the shard's query set; "
-                    "publish a full plane instead"
-                )
-        if multibipartite is None:
-            multibipartite = current.multibipartite
-        if epoch_id is None:
-            epoch_id = self._generation + 1
-        slices = {**current.slices, **updates}
-        homed = [
-            query
-            for query in current.hot_queries or ()
-            if self._plan.shard_of(query) in updates
-        ]
-        hot_table = (
-            self._compute_hot_table(
-                ShardedExpander(self._plan, slices=slices),
-                multibipartite,
-                homed,
-            )
-            if homed
-            else None
-        )
-        fresh = self._publish_shard_stores(
-            updates, epoch_id, hot_table, multibipartite
-        )
-        hot = current.hot
-        if isinstance(hot, _ShardedHotView):
-            hot = hot.updated(self._verified_shard_hot(fresh, hot_table))
-        return replace(
-            current,
-            graph={**current.graph, **fresh},
-            multibipartite=multibipartite,
-            slices=slices,
-            hot=hot,
         )
 
     def _with_profiles(
@@ -1230,47 +901,14 @@ class SuggestWorkerPool:
         return self._generation
 
     @property
-    def n_shards(self) -> int:
-        """Shards of the current plan (0 = the single-segment plane)."""
-        return self._plan.n_shards if self._plan is not None else 0
-
-    @property
-    def shard_plan(self) -> ShardPlan | None:
-        """The shard plan (``None`` when serving the unsharded plane)."""
-        return self._plan
-
-    def _shard_stores(self) -> list:
-        """Sorted ``(shard id, store)`` pairs (empty when unsharded)."""
-        if self._plan is None:
-            return []
-        return sorted(self._current.graph.items())
-
-    @property
     def segment_name(self) -> str:
-        """Name of the current generation's segment (shard 0 if sharded)."""
-        graph = self._current.graph
-        return graph[min(graph)].segment_name
+        """Name of the current generation's graph segment."""
+        return self._current.graph.segment_name
 
     @property
     def segment_bytes(self) -> int:
-        """Bytes of the current shared segment(s), summed across shards."""
-        return sum(store.total_bytes for store in self._current.graph.values())
-
-    @property
-    def shard_segment_bytes(self) -> dict[int, int]:
-        """Per-shard segment sizes (empty when unsharded)."""
-        return {
-            shard_id: store.total_bytes
-            for shard_id, store in self._shard_stores()
-        }
-
-    @property
-    def shard_epoch_ids(self) -> dict[int, int]:
-        """Per-shard epoch ordinals (empty when unsharded)."""
-        return {
-            shard_id: store.meta.epoch_id
-            for shard_id, store in self._shard_stores()
-        }
+        """Bytes of the current graph segment."""
+        return self._current.graph.total_bytes
 
     @property
     def ready_info(self) -> dict[int, dict]:
@@ -1353,23 +991,9 @@ class SuggestWorkerPool:
     # -- request path ------------------------------------------------------------
 
     def _route(self, query: str) -> int:
-        """Stable query-hash routing: repeats hit the same worker's cache.
-
-        Sharded pools compose the same crc32 hash with the shard map:
-        the query's home shard picks the worker stripe that eagerly
-        attached it, so nearly every request is served intra-shard (a
-        walk only spills when its graph neighbourhood crosses shards).
-        """
+        """Stable query-hash routing: repeats hit the same worker's cache."""
         normalized = normalize_query(query)
-        crc = zlib.crc32(normalized.encode("utf-8"))
-        if self._plan is None:
-            return crc % self._n_workers
-        return _shard_route(
-            self._plan.shard_of(normalized),
-            crc,
-            self._n_workers,
-            self._plan.n_shards,
-        )
+        return zlib.crc32(normalized.encode("utf-8")) % self._n_workers
 
     def _personalizes(
         self, user_id: str | None, profiled_users: frozenset[str]
@@ -1581,17 +1205,6 @@ class SuggestWorkerPool:
             if successor.profiles is not current.profiles:
                 self._m_profile_swaps.inc()
                 self._m_profile_users.set(len(successor.profiled_users))
-            swapped = [
-                shard_id
-                for shard_id, store in self._shard_stores()
-                if store is not current.graph[shard_id]
-            ]
-            if len(swapped) < self.n_shards:
-                self._m_shard_swaps.inc(len(swapped))
-                for shard_id in swapped:
-                    self._registry.counter(
-                        "serve.shard.swaps", labels={"shard": str(shard_id)}
-                    ).inc()
 
     def publish_plane(
         self,
@@ -1602,7 +1215,7 @@ class SuggestWorkerPool:
     ) -> None:
         """Publish the next graph plane and swap every worker onto it.
 
-        Shares *expander*'s matrices as fresh segment(s) and moves every
+        Shares *expander*'s matrices as a fresh segment and moves every
         worker onto them through the one generation swap (workers flush
         their compact caches).  The hot-query table is rebuilt against
         the new plane — from *hot_queries* when given, else from the
@@ -1615,30 +1228,6 @@ class SuggestWorkerPool:
                 multibipartite=multibipartite,
                 epoch_id=epoch_id,
                 hot_queries=hot_queries,
-            )
-        )
-
-    def publish_shard(
-        self,
-        piece: ShardSlice,
-        epoch_id: int | None = None,
-        multibipartite=None,
-    ) -> None:
-        """Publish ONE shard's next segment and swap every worker onto it.
-
-        Only that shard's segment is repacked; workers holding it remap
-        it in place, every other shard's segment, its hot entries and the
-        profile plane stay as they are.  Per-shard publishes must keep the
-        shard's query set (``ValueError`` otherwise): new queries
-        renumber the global ordinal space, so deltas carrying them take
-        :meth:`publish_plane` / :meth:`publish_epoch` instead.
-        """
-        self._publish(
-            partial(
-                self._with_shards,
-                updates={piece.shard_id: piece},
-                epoch_id=epoch_id,
-                multibipartite=multibipartite,
             )
         )
 
@@ -1671,42 +1260,19 @@ class SuggestWorkerPool:
         configured, the head list is re-extracted from the epoch's
         cumulative log (traffic drifts; yesterday's head is not today's)
         before the table is rebuilt.
-
-        Sharded pools repack only the touched shards when the epoch
-        carries ``shard_updates`` under the same plan (the streaming
-        layer produces them for deltas that add no queries); every
-        untouched shard's segment — and hot partition — survives as-is.
-        Epochs without per-shard updates (new queries, plan mismatch,
-        unsharded ingestion) repack the whole graph plane.
         """
         hot_queries = None
         if self._hot_top > 0:
             hot_queries = epoch.head_queries(self._hot_top)
-        shard_updates = getattr(epoch, "shard_updates", None)
-        if (
-            self._plan is not None
-            and shard_updates is not None
-            and getattr(epoch, "shard_plan", None) == self._plan
-            and hot_queries is None
-        ):
-            steps = [
-                partial(
-                    self._with_shards,
-                    updates=shard_updates,
-                    epoch_id=epoch.epoch_id,
-                    multibipartite=epoch.multibipartite,
-                )
-            ]
-        else:
-            steps = [
-                partial(
-                    self._with_graph,
-                    expander=epoch.expander,
-                    multibipartite=epoch.multibipartite,
-                    epoch_id=epoch.epoch_id,
-                    hot_queries=hot_queries,
-                )
-            ]
+        steps = [
+            partial(
+                self._with_graph,
+                expander=epoch.expander,
+                multibipartite=epoch.multibipartite,
+                epoch_id=epoch.epoch_id,
+                hot_queries=hot_queries,
+            )
+        ]
         profiles = getattr(epoch, "profiles", None)
         if profiles is not None:
             steps.append(
@@ -1754,7 +1320,6 @@ class SuggestWorkerPool:
                 profile_generation=payload["profile_generation"],
                 profile_users=payload["profile_users"],
                 profile_shares_memory=payload["profile_shares_memory"],
-                spill=payload["spill"],
             )
             for worker_id, payload in sorted(payloads.items())
         )
@@ -1762,19 +1327,14 @@ class SuggestWorkerPool:
         return PoolStats(
             n_workers=self._n_workers,
             generation=self._generation,
-            epoch_id=max(
-                store.meta.epoch_id for store in current.graph.values()
-            ),
-            segment_bytes=self.segment_bytes,
+            epoch_id=current.graph.meta.epoch_id,
+            segment_bytes=current.graph.total_bytes,
             workers=workers,
             hot_entries=self.hot_entries,
             hot_hits=self._hot_hits_total,
             profile_users=len(current.profiled_users),
             profile_generation=current.profile_generation,
             profile_segment_bytes=self.profile_segment_bytes,
-            n_shards=self.n_shards,
-            shard_segment_bytes=tuple(self.shard_segment_bytes.values()),
-            shard_epoch_ids=tuple(self.shard_epoch_ids.values()),
         )
 
     def merged_metrics(self) -> dict:

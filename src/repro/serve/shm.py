@@ -320,9 +320,7 @@ def _pack_segment(
 ) -> tuple[shared_memory.SharedMemory, dict[str, _ArraySpec], int]:
     """Lay *plan*'s arrays into a fresh named segment, 64-byte aligned.
 
-    Returns ``(segment, specs, total_bytes)``.  Shared by the full-plane
-    store and the per-shard store so both publish through one packer.
-    The segment name embeds the pid, a random token and *epoch_id*, so
+    Returns ``(segment, specs, total_bytes)``.  The segment name embeds the pid, a random token and *epoch_id*, so
     concurrent publishers (and generations) never collide.
     """
     specs: dict[str, _ArraySpec] = {}

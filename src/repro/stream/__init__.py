@@ -64,7 +64,6 @@ def streaming_pqsda(
     sessionizer: SessionizerConfig | None = None,
     registry=None,
     stream_profiles: bool = False,
-    shard_plan=None,
 ) -> tuple[PQSDA, LogIngestor, EpochManager]:
     """Build a live suggester over *bootstrap_log*; return its stream plumbing.
 
@@ -87,23 +86,12 @@ def streaming_pqsda(
     fold into new profile generations that ride each epoch
     (``Epoch.profiles``), so the suggester's personalization stays
     click-current alongside the graph.
-
-    With *shard_plan* (a :class:`~repro.graphs.shard.ShardPlan`) the
-    state shards the query side: every epoch carries per-shard slices and
-    — for deltas that add no queries — the minimal per-shard update set,
-    which a sharded :class:`~repro.serve.pool.SuggestWorkerPool`
-    subscribed via ``attach_epochs`` consumes as independent per-shard
-    segment swaps.
     """
     if config is None:
         config = PQSDAConfig()
     if stream_profiles and not config.personalize:
         raise ValueError("stream_profiles requires config.personalize")
-    state = StreamState(
-        sessionizer=sessionizer,
-        weighted=config.weighted,
-        shard_plan=shard_plan,
-    )
+    state = StreamState(sessionizer=sessionizer, weighted=config.weighted)
     records = sorted(
         bootstrap_log.records, key=lambda r: (r.timestamp, r.record_id)
     )

@@ -42,7 +42,6 @@ from repro.graphs.matrices import (
     _take_rows,
 )
 from repro.graphs.multibipartite import BIPARTITE_KINDS, MultiBipartite
-from repro.graphs.shard import ShardPlan, ShardSlice, build_shard_slices
 from repro.graphs.weighting import iqf
 from repro.logs.schema import QueryRecord
 from repro.logs.sessionizer import SessionizerConfig, continues_session
@@ -67,19 +66,12 @@ class GraphDelta:
         new_queries: Subset of ``touched_queries`` seen for the first time.
         new_facets: Kind -> facets (URLs / session ids / terms) created by
             this micro-batch.
-        touched_shards: Home shards of the touched queries under the
-            state's :class:`~repro.graphs.shard.ShardPlan` — empty for
-            unsharded states.  Disjoint micro-batches (no shard in
-            common) fold into disjoint shard structures, which is what
-            lets per-shard epoch publishes swap only the touched shards'
-            segments.
     """
 
     n_records: int
     touched_queries: frozenset[str]
     new_queries: frozenset[str]
     new_facets: dict[str, frozenset[str]]
-    touched_shards: frozenset[int] = frozenset()
 
     @property
     def n_touched(self) -> int:
@@ -99,26 +91,12 @@ class StreamSnapshot:
             patched — bit-identical to ``build_matrices`` over ``log``.
         touched_queries: Union of the applied deltas' touched sets since
             the previous snapshot.
-        shard_plan: The state's shard plan (``None`` = unsharded).
-        shard_slices: Full per-shard slice set of this epoch under
-            ``shard_plan``; unchanged shards are the **same objects** as
-            the previous epoch's (see
-            :func:`~repro.graphs.shard.build_shard_slices`).
-        shard_updates: The minimal per-shard update set — only the
-            slices whose content changed since the previous snapshot.
-            ``None`` means no per-shard publish is possible (unsharded
-            state, first snapshot, or a delta that added queries and
-            therefore renumbered global ordinals): consumers must do a
-            full publish.
     """
 
     log: QueryLog
     multibipartite: MultiBipartite
     matrices: BipartiteMatrices
     touched_queries: frozenset[str]
-    shard_plan: ShardPlan | None = None
-    shard_slices: dict[int, ShardSlice] | None = None
-    shard_updates: dict[int, ShardSlice] | None = None
 
 
 @dataclass
@@ -141,46 +119,6 @@ class _KindState:
         self.raw: sparse.csr_matrix | None = None  # raw counts, canonical
         self.new_facets: set[str] = set()  # since the last snapshot
         self.touched: set[str] = set()  # queries with edge changes
-
-
-class _ClosedTracker:
-    """Incremental per-shard closedness over the facet-purity relation.
-
-    Mirrors :func:`repro.graphs.shard._closed_shards` without its O(nnz)
-    per-snapshot scan: a ``(kind, facet)`` column is *pure* while every
-    query row incident to it lives in one shard, and a shard is closed
-    while it touches no impure column.  Edges are only ever added, so
-    impurity is monotone and each shard just counts the impure columns it
-    touches — a column's second distinct shard charges both the prior
-    owner and the joiner, and every later distinct shard charges itself.
-    """
-
-    __slots__ = ("_column_shards", "_open_counts")
-
-    def __init__(self, n_shards: int) -> None:
-        self._column_shards: dict[tuple[str, str], set[int]] = {}
-        self._open_counts = [0] * n_shards
-
-    def add(self, kind: str, facet: str, shard: int) -> None:
-        """Record an edge of *shard* into the ``(kind, facet)`` column."""
-        key = (kind, facet)
-        shards = self._column_shards.get(key)
-        if shards is None:
-            self._column_shards[key] = {shard}
-            return
-        if shard in shards:
-            return
-        if len(shards) == 1:
-            (owner,) = shards
-            self._open_counts[owner] += 1
-        shards.add(shard)
-        self._open_counts[shard] += 1
-
-    def closed_flags(self) -> np.ndarray:
-        """Per-shard closed flag, identical to ``_closed_shards`` output."""
-        return np.asarray(
-            [count == 0 for count in self._open_counts], dtype=bool
-        )
 
 
 def _merge_sorted(old: list[str], added: list[str]) -> tuple[list[str], np.ndarray]:
@@ -227,28 +165,15 @@ class StreamState:
         weighted: Apply the cfiqf scheme of Eqs. 4-6; ``False`` keeps raw
             submission counts (the paper's "raw" ablation).  The entropy
             scheme is inherently global and is not supported online.
-        shard_plan: Partition the query side under this
-            :class:`~repro.graphs.shard.ShardPlan`: every snapshot then
-            also carries per-shard slices, and snapshots whose deltas
-            added no queries carry the *minimal* update set — only the
-            shards whose bytes changed — so the scale-out pool swaps
-            only those shards' segments.  Note the cfiqf correction
-            rescales every facet weight whenever ``|Q|`` grows, so
-            minimal update sets arise with ``weighted=False`` (raw
-            counts); weighted states still shard correctly but every
-            epoch updates every shard.
     """
 
     def __init__(
         self,
         sessionizer: SessionizerConfig | None = None,
         weighted: bool = True,
-        shard_plan: ShardPlan | None = None,
     ) -> None:
         self._sessionizer = sessionizer or SessionizerConfig()
         self._weighted = weighted
-        self._plan = shard_plan
-        self._slices: dict[int, ShardSlice] = {}
         self._log = QueryLog(())
         self._pending: list[QueryRecord] = []
         self._kinds = {kind: _KindState() for kind in BIPARTITE_KINDS}
@@ -258,19 +183,6 @@ class StreamState:
         self._new_queries: set[str] = set()  # since the last snapshot
         self._touched: set[str] = set()  # union across kinds, ditto
         self._snapshots = 0
-        # Sharded bookkeeping kept incremental so snapshots never rescan
-        # the whole plane: query -> home shard, the shards dirtied since
-        # the last snapshot, the row -> shard array of the last snapshot,
-        # and the closedness tracker with its last published flags.
-        self._shard_cache: dict[str, int] = {}
-        self._dirty_shards: set[int] = set()
-        self._row_shard: np.ndarray | None = None
-        self._closed = (
-            _ClosedTracker(shard_plan.n_shards)
-            if shard_plan is not None
-            else None
-        )
-        self._closed_prev: np.ndarray | None = None
 
     # -- accessors -------------------------------------------------------------
 
@@ -288,11 +200,6 @@ class StreamState:
     def n_snapshots(self) -> int:
         """Snapshots built so far."""
         return self._snapshots
-
-    @property
-    def shard_plan(self) -> ShardPlan | None:
-        """The configured shard plan (``None`` = unsharded)."""
-        return self._plan
 
     # -- micro-batch application ------------------------------------------------
 
@@ -316,44 +223,27 @@ class StreamState:
             if query not in self._seen_queries:
                 self._seen_queries.add(query)
                 new_queries.add(query)
-            shard = self._shard_of(query) if self._plan is not None else None
             if record.clicked_url is not None:
                 self._add_edge(
-                    "U", query, record.clicked_url, shard, touched, new_facets
+                    "U", query, record.clicked_url, touched, new_facets
                 )
-            self._add_edge("S", query, session_id, shard, touched, new_facets)
+            self._add_edge("S", query, session_id, touched, new_facets)
             for term in set(tokenize(query)):
-                self._add_edge("T", query, term, shard, touched, new_facets)
+                self._add_edge("T", query, term, touched, new_facets)
         self._new_queries.update(new_queries)
         self._touched.update(touched)
-        touched_shards: frozenset[int] = frozenset()
-        if self._plan is not None:
-            touched_shards = frozenset(
-                self._shard_of(query) for query in touched
-            )
-            self._dirty_shards.update(touched_shards)
         return GraphDelta(
             n_records=len(records),
             touched_queries=frozenset(touched),
             new_queries=frozenset(new_queries),
             new_facets={k: frozenset(v) for k, v in new_facets.items()},
-            touched_shards=touched_shards,
         )
-
-    def _shard_of(self, query: str) -> int:
-        """Home shard of an already-normalized query, memoized."""
-        shard = self._shard_cache.get(query)
-        if shard is None:
-            shard = self._plan.shard_of(query)
-            self._shard_cache[query] = shard
-        return shard
 
     def _add_edge(
         self,
         kind: str,
         query: str,
         facet: str,
-        shard: int | None,
         touched: set[str],
         new_facets: dict[str, set[str]],
     ) -> None:
@@ -365,8 +255,6 @@ class StreamState:
         if not known:
             state.new_facets.add(facet)
             new_facets[kind].add(facet)
-        if shard is not None:
-            self._closed.add(kind, facet, shard)
 
     def _sessionize(self, record: QueryRecord) -> str:
         """Online Definition-1 segmentation; returns the record's session id.
@@ -399,20 +287,15 @@ class StreamState:
         only the touched CSR rows, applies the epoch-level iqf correction,
         and re-derives gram/affinity from the patched incidence.
         """
-        log_grew = bool(self._pending)
         self._log = self._log.extend(self._pending)
         self._pending = []
         total = self._log.total_queries
 
-        new_sorted = sorted(self._new_queries)
-        queries, old_row_pos = _merge_sorted(self._queries, new_sorted)
+        queries, old_row_pos = _merge_sorted(
+            self._queries, sorted(self._new_queries)
+        )
         old_index = {query: i for i, query in enumerate(self._queries)}
         query_index = {query: i for i, query in enumerate(queries)}
-        shard_info = None
-        if self._plan is not None:
-            shard_info = self._shard_bookkeeping(
-                queries, old_row_pos, new_sorted, log_grew
-            )
 
         incidence: dict[str, sparse.csr_matrix] = {}
         affinity: dict[str, sparse.csr_matrix] = {}
@@ -444,7 +327,6 @@ class StreamState:
 
         self._queries = queries
         touched_queries = frozenset(self._touched)
-        had_new_queries = bool(self._new_queries)
         self._touched = set()
         self._new_queries = set()
         self._snapshots += 1
@@ -460,109 +342,12 @@ class StreamState:
         multibipartite = MultiBipartite(
             {kind: self._kinds[kind].bipartite for kind in BIPARTITE_KINDS}
         )
-        shard_slices: dict[int, ShardSlice] | None = None
-        shard_updates: dict[int, ShardSlice] | None = None
-        if self._plan is not None:
-            previous = self._slices or None
-            row_shard, closed_now, dirty = shard_info
-            if dirty is not None and not dirty:
-                # Nothing touched any shard: every slice is byte-identical
-                # by construction, so skip the per-shard work entirely.
-                shard_slices = dict(previous)
-                shard_updates = {}
-            else:
-                shard_slices = build_shard_slices(
-                    matrices,
-                    self._plan,
-                    multibipartite,
-                    previous=previous,
-                    dirty_shards=dirty,
-                    row_shard=row_shard,
-                    closed=closed_now,
-                )
-                if previous is not None and not had_new_queries:
-                    # Unchanged shards came back as the previous epoch's
-                    # very objects, so identity is the exact
-                    # changed-bytes test.
-                    shard_updates = {
-                        shard_id: piece
-                        for shard_id, piece in shard_slices.items()
-                        if piece is not previous.get(shard_id)
-                    }
-            self._slices = shard_slices
         return StreamSnapshot(
             log=self._log,
             multibipartite=multibipartite,
             matrices=matrices,
             touched_queries=touched_queries,
-            shard_plan=self._plan,
-            shard_slices=shard_slices,
-            shard_updates=shard_updates,
         )
-
-    def _shard_bookkeeping(
-        self,
-        queries: list[str],
-        old_row_pos: np.ndarray,
-        new_sorted: list[str],
-        log_grew: bool,
-    ) -> tuple[np.ndarray, np.ndarray, set[int] | None]:
-        """Row-shard map, closed flags, and dirty set for this snapshot.
-
-        ``dirty=None`` means every shard must be (re)derived: first build,
-        new queries renumbered the global rows, or a weighted epoch whose
-        ``|Q|`` growth rescaled every facet's iqf factor.  Otherwise dirty
-        is the union of the shards the applied deltas touched and the
-        shards whose closedness flipped — a foreign edge can impurify a
-        column a shard touches without touching any of its own rows, which
-        drops its cached gram.  Every other shard's slice is byte-stable,
-        the invariant :func:`build_shard_slices`'s *dirty_shards* skip
-        relies on.
-
-        Consumes the accumulated dirty set and advances the row-shard
-        cache and the previous closed flags; call exactly once per
-        snapshot, after the query merge.
-        """
-        prev_rows = self._row_shard
-        n_queries = len(queries)
-        if new_sorted and prev_rows is not None and prev_rows.size == len(
-            old_row_pos
-        ):
-            row_shard = np.empty(n_queries, dtype=np.intp)
-            row_shard[old_row_pos] = prev_rows
-            added = np.ones(n_queries, dtype=bool)
-            added[old_row_pos] = False
-            for position, query in zip(np.flatnonzero(added), new_sorted):
-                row_shard[position] = self._shard_of(query)
-        elif not new_sorted and prev_rows is not None and prev_rows.size == (
-            n_queries
-        ):
-            row_shard = prev_rows
-        else:
-            row_shard = np.fromiter(
-                (self._shard_of(query) for query in queries),
-                dtype=np.intp,
-                count=n_queries,
-            )
-        self._row_shard = row_shard
-
-        closed_now = self._closed.closed_flags()
-        flipped: set[int] = set()
-        if self._closed_prev is not None:
-            flipped = {
-                int(shard)
-                for shard in np.flatnonzero(self._closed_prev != closed_now)
-            }
-        self._closed_prev = closed_now
-        accumulated = self._dirty_shards
-        self._dirty_shards = set()
-
-        dirty: set[int] | None
-        if not self._slices or new_sorted or (self._weighted and log_grew):
-            dirty = None
-        else:
-            dirty = set(accumulated) | flipped
-        return row_shard, closed_now, dirty
 
     def _reweight(
         self,

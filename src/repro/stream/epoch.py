@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from repro.graphs.compact import RandomWalkExpander
 from repro.graphs.matrices import BipartiteMatrices
 from repro.graphs.multibipartite import MultiBipartite
-from repro.graphs.shard import ShardPlan, ShardSlice
 from repro.logs.storage import QueryLog
 from repro.obs.registry import NULL_REGISTRY
 from repro.stream.delta import StreamSnapshot
@@ -54,15 +53,6 @@ class Epoch:
             feedback folded by the ingestor); subscribers rebind it
             (``PQSDA.rebind_profiles``) and the scale-out pool republishes
             it through its profile plane.
-        shard_plan: The shard plan the epoch's slices were cut under, or
-            ``None`` for unsharded streams.
-        shard_updates: Minimal per-shard update set — only the slices
-            whose bytes changed since the previous epoch.  ``None``
-            forces a full publish (unsharded, bootstrap, or a delta that
-            added queries and renumbered global ordinals); a sharded
-            pool's :meth:`repro.serve.pool.SuggestWorkerPool.publish_epoch`
-            repacks only these shards, so untouched shards' segments
-            survive the epoch swap as-is.
     """
 
     epoch_id: int
@@ -72,8 +62,11 @@ class Epoch:
     expander: RandomWalkExpander
     touched_queries: frozenset[str]
     profiles: object | None = None
-    shard_plan: ShardPlan | None = None
-    shard_updates: dict[int, ShardSlice] | None = None
+
+    #: Always ``None``: every epoch is one full graph segment.  Kept, and
+    #: not a field, because ``perfbench/server.py`` reads it to count full
+    #: publishes, and the benchmark may only change in its own revision.
+    shard_updates = None
 
     def head_queries(self, n: int) -> list[str]:
         """The *n* hottest normalized queries of this epoch's log.
@@ -106,8 +99,6 @@ class Epoch:
             ),
             touched_queries=snapshot.touched_queries,
             profiles=profiles,
-            shard_plan=snapshot.shard_plan,
-            shard_updates=snapshot.shard_updates,
         )
 
 
@@ -177,10 +168,6 @@ class EpochManager:
         """
         registry = registry if registry is not None else NULL_REGISTRY
         self._m_published = registry.counter("stream.epochs.published")
-        self._m_shard_publishes = registry.counter(
-            "stream.epochs.shard_publishes"
-        )
-        self._m_shard_updates = registry.counter("stream.epochs.shard_updates")
         self._m_retired = registry.counter("stream.epochs.retired")
         self._m_current = registry.gauge("stream.epochs.current")
         self._m_live = registry.gauge("stream.epochs.live")
@@ -242,10 +229,6 @@ class EpochManager:
             self._pins.setdefault(epoch.epoch_id, 0)
             self._published += 1
             self._m_published.inc()
-            updates = getattr(epoch, "shard_updates", None)
-            if updates is not None:
-                self._m_shard_publishes.inc()
-                self._m_shard_updates.inc(len(updates))
             self._m_current.set(epoch.epoch_id)
             if self._pins.get(previous.epoch_id, 0) <= 0:
                 retired = self._retire(previous.epoch_id)

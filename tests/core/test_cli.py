@@ -29,6 +29,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perplexity", "x", "--models", "GPT"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suggest", "log.tsv", "q", "--workers", "0"],
+            ["suggest", "log.tsv", "q", "--k", "0"],
+            ["serve", "log.tsv", "--workers", "0"],
+            ["serve", "log.tsv", "--k", "0"],
+            ["serve", "log.tsv", "--rounds", "0"],
+            ["ingest", "log.tsv", "--batch-size", "0"],
+            ["ingest", "log.tsv", "--epoch-every", "-3"],
+            ["ingest", "log.tsv", "--k", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_count_flags_reject_values_below_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"repro {argv[0]}: error: argument {argv[-2]}: "
+            f"must be at least 1, got {argv[-1]}"
+        )
+
 
 class TestGenerate:
     def test_writes_aol_file(self, log_path):

@@ -210,7 +210,7 @@ class TestLifecycle:
     ):
         # The full teardown matrix: every interleaving of the publisher's
         # close()/unlink() must be safe to repeat — the pool's cleanup
-        # paths (swap failure, publish_shard rollback, close()) may each
+        # paths (swap failure, close()) may each
         # run over a store another path already tore down.
         store = SharedMatrixStore.publish(
             expander.matrices, expander, multibipartite, prefix="t-shm-seq"
@@ -220,25 +220,6 @@ class TestLifecycle:
         store.close()
         store.unlink()
         store.close()
-
-    def test_shard_store_lifecycle_is_idempotent(self, multibipartite, expander):
-        from repro.graphs.shard import ShardPlan, build_shard_slices
-        from repro.serve.shard_plane import SharedShardStore
-
-        slices = build_shard_slices(
-            expander.matrices, ShardPlan.hashed(2), multibipartite
-        )
-        store = SharedShardStore.publish(slices[0], prefix="t-shm-shard-life")
-        path = f"/dev/shm/{store.segment_name}"
-        if os.path.isdir("/dev/shm"):
-            assert os.path.exists(path)
-        store.unlink()
-        store.unlink()
-        store.close()
-        store.close()
-        store.unlink()
-        if os.path.isdir("/dev/shm"):
-            assert not os.path.exists(path)
 
     def test_close_is_idempotent(self, store):
         plane = attach(store.meta)

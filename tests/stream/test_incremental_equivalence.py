@@ -111,6 +111,29 @@ class TestMatrixEquivalence:
                 f"incidence[{kind}] cadence",
             )
 
+    @pytest.mark.parametrize("weighted", [True, False], ids=["cfiqf", "raw"])
+    def test_every_epoch_matches_batch_over_its_prefix(
+        self, ordered_records, weighted
+    ):
+        """Each intermediate snapshot, not only the last, is a batch build."""
+        state = StreamState(weighted=weighted)
+        for end in range(48, len(ordered_records) + 48, 48):
+            prefix = ordered_records[:end]
+            state.apply(prefix[end - 48 :])
+            stream = state.build_snapshot().matrices
+            log = QueryLog(prefix)
+            batch = build_matrices(
+                build_multibipartite(log, sessionize(log), weighted=weighted)
+            )
+            assert stream.queries == batch.queries, end
+            for kind in BIPARTITE_KINDS:
+                for name in ("incidence", "gram", "affinity"):
+                    _assert_csr_identical(
+                        getattr(batch, name)[kind],
+                        getattr(stream, name)[kind],
+                        f"{name}[{kind}] after {len(prefix)} records",
+                    )
+
     def test_raw_weighting_equivalence(self, synthetic_log, ordered_records):
         """The raw (non-cfiqf) ablation streams bit-identically too."""
         sessions = sessionize(synthetic_log)
