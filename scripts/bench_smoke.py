@@ -564,6 +564,7 @@ def run_obs_bench(n_users: int = 60, rounds: int = 7) -> dict:
 
     row = {
         "n_users": n_users,
+        "cpu_count": os.cpu_count(),
         "rounds": rounds,
         "probes": len(probes),
         "workload": "probes with a one-query search context",

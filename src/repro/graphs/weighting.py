@@ -51,13 +51,15 @@ def apply_cfiqf(bipartite: Bipartite, total_queries: int) -> Bipartite:
     """
     weighted = Bipartite()
     epsilon = 1e-3
+    factors: dict[str, float] = {}
+    for facet in bipartite.facets:
+        # A multi-occurrence term can push the facet weight slightly past
+        # |Q|; clamp so iqf stays defined (and non-negative).
+        count = min(bipartite.facet_weight_sum(facet), float(total_queries))
+        factors[facet] = max(iqf(total_queries, count), epsilon)
     for query in bipartite.queries:
         for facet, raw in bipartite.facets_of(query).items():
-            # A multi-occurrence term can push the facet weight slightly past
-            # |Q|; clamp so iqf stays defined (and non-negative).
-            count = min(bipartite.facet_weight_sum(facet), float(total_queries))
-            factor = iqf(total_queries, count)
-            weighted.add(query, facet, raw * max(factor, epsilon))
+            weighted.add(query, facet, raw * factors[facet])
     return weighted
 
 

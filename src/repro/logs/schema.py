@@ -7,7 +7,8 @@ a single information need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from repro.utils.text import tokenize
@@ -15,10 +16,30 @@ from repro.utils.text import tokenize
 __all__ = ["QueryRecord", "Session", "parse_timestamp", "format_timestamp"]
 
 _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+#: The canonical form :func:`format_timestamp` writes, ASCII digits only.
+_CANONICAL_TIMESTAMP = re.compile(
+    r"(\d{4})-(\d\d)-(\d\d) (\d\d):(\d\d):(\d\d)", re.ASCII
+)
 
 
 def parse_timestamp(text: str) -> float:
-    """Parse a ``YYYY-MM-DD HH:MM:SS`` timestamp into epoch seconds (UTC)."""
+    """Parse a ``YYYY-MM-DD HH:MM:SS`` timestamp into epoch seconds (UTC).
+
+    Accepts exactly what ``strptime`` accepts and returns the same float.
+    The canonical zero-padded ASCII form, which every log row carries, is
+    parsed without ``strptime``'s per-call locale and regex work; any
+    other string (unpadded fields, extra whitespace, non-ASCII digits), or
+    a canonical one with an out-of-range field, goes through ``strptime``,
+    which parses it or raises its own ``ValueError``.
+    """
+    match = _CANONICAL_TIMESTAMP.fullmatch(text)
+    if match is not None:
+        try:
+            return datetime(
+                *map(int, match.groups()), tzinfo=timezone.utc
+            ).timestamp()
+        except ValueError:
+            pass  # out of range: strptime raises its own error below
     dt = datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
     return dt.timestamp()
 
@@ -59,7 +80,9 @@ class QueryRecord:
 
     def with_record_id(self, record_id: int) -> "QueryRecord":
         """Copy of this record with *record_id* assigned."""
-        return replace(self, record_id=record_id)
+        return QueryRecord(
+            self.user_id, self.query, self.timestamp, self.clicked_url, record_id
+        )
 
 
 @dataclass(slots=True)

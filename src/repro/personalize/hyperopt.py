@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
 from scipy.special import gammaln, psi
 
 __all__ = [
@@ -114,6 +113,9 @@ def optimize_dirichlet_lbfgs(
     max_iterations: int = 50,
 ) -> np.ndarray:
     """Maximize the evidence with L-BFGS-B (the paper's choice, ref. [30])."""
+    # Imported here: serving processes import this module but never fit.
+    from scipy.optimize import minimize
+
     counts, eta0 = _validate(counts, eta0)
 
     def objective(eta: np.ndarray) -> tuple[float, np.ndarray]:

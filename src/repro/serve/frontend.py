@@ -93,6 +93,8 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: Hard cap on an HTTP request body (bytes) — requests are tiny JSON.
 _MAX_BODY_BYTES = 1 << 20
+#: Header lines accepted per request (the stdlib ``http.client`` limit).
+_MAX_HEADER_LINES = 100
 
 _REASONS = {
     200: "OK",
@@ -190,9 +192,9 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
 
     Malformed framing raises :class:`_BadRequest`, which the connection
     handler answers with a 4xx JSON reply and ``Connection: close``: a
-    line longer than the stream's limit (asyncio's 64 KiB default), a
-    ``Content-Length`` that is not a plain decimal, or a request target
-    ``urlsplit`` rejects.
+    line longer than the stream's limit (asyncio's 64 KiB default), more
+    than :data:`_MAX_HEADER_LINES` header lines, a ``Content-Length``
+    that is not a plain decimal, or a request target ``urlsplit`` rejects.
     """
     try:
         line = await reader.readline()
@@ -207,6 +209,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
     except ValueError:
         raise _BadRequest("malformed request line") from None
     headers: dict[str, str] = {}
+    n_lines = 0
     while True:
         try:
             raw = await reader.readline()
@@ -216,6 +219,9 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
             return None
         if raw in (b"\r\n", b"\n"):
             break
+        n_lines += 1
+        if n_lines > _MAX_HEADER_LINES:
+            raise _BadRequest("too many header lines", status=431)
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     declared = headers.get("content-length") or "0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from repro.synth.taxonomy import Category
 from repro.synth.vocabulary import Vocabulary
@@ -59,6 +58,11 @@ class UserModel:
         ``t_norm`` is the position in the log's time span, in [0, 1].  The
         returned weights are normalized to sum to 1.
         """
+        # Imported here, its one use: generation is offline-only, and a
+        # module-level import would load scipy.stats into every serving
+        # process that touches the package.
+        from scipy.stats import beta as beta_dist
+
         check_probability("t_norm", t_norm)
         # Clamp away from the Beta pdf's possibly-infinite endpoints.
         t = min(max(t_norm, 1e-3), 1 - 1e-3)

@@ -287,6 +287,13 @@ class TestHttpPlumbing:
                 id="header-line-over-limit",
             ),
             pytest.param(
+                b"GET /suggest?q=x HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(150))
+                + b"\r\n",
+                431,
+                id="header-count-over-limit",
+            ),
+            pytest.param(
                 b"GET /suggest?q=" + b"a" * 66_000 + b" HTTP/1.1\r\n\r\n",
                 414,
                 id="request-line-over-limit",
