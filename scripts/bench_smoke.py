@@ -13,9 +13,11 @@ post-ingest warm-cache suggestion latency against a from-scratch batch
 build over the same full log (acceptance: within 2x).
 
 ``--upm`` benchmarks UPM offline training (``BENCH_upm.json``): the
-reference Gibbs sampler vs. the vectorized fast engine (serial and
-4-worker), sweep throughput in sessions/s, the bit-identity check, and
-serving-time ``preference_score`` latency.
+reference Gibbs sampler vs. the step-batched fast engine (serial and
+4-worker), sweep throughput in sessions/s, and serving-time
+``preference_score`` latency.  It is also a gate: both fast fits must
+equal the reference exactly (per-session assignments, ``theta``,
+``beta`` and the per-sweep log-likelihood), or the run exits 1.
 
 ``--obs`` benchmarks the observability layer (``BENCH_metrics.json``):
 one warm suggester serves the same probe workload detached (the
@@ -353,9 +355,14 @@ def build_upm_corpus(
     Each user draws from a narrow 400-word slice of the vocabulary plus a
     small global head — per-user vocabularies stay tiny (sparse emission
     counts) while the realized global vocabulary approaches *vocab*, which
-    is the regime the fast path is built for.  Built directly rather than
-    through the synthetic world generator because the generator's browse
-    model caps the realized vocabulary far below AOL-like scale.
+    is the regime the fast path is built for.  Each user draws a session
+    count between 1 and ``2 * sessions_per_user - 1`` (mean
+    *sessions_per_user*), and a third of the sessions click nothing, so
+    the fast engine's sweep steps are ragged: later steps cover fewer
+    users, and one step mixes sessions with and without URLs.  Built
+    directly rather than through the synthetic world generator because the
+    generator's browse model caps the realized vocabulary far below
+    AOL-like scale.
     """
     from repro.topicmodels.corpus import Document, SessionCorpus, SessionData
 
@@ -364,7 +371,7 @@ def build_upm_corpus(
     for d in range(n_users):
         lo = int(rng.integers(0, max(vocab - 400, 1)))
         sessions = []
-        for _ in range(sessions_per_user):
+        for _ in range(int(rng.integers(1, 2 * sessions_per_user))):
             n = int(rng.integers(3, 8))
             local = rng.integers(lo, min(lo + 400, vocab), size=n)
             head = rng.integers(0, 200, size=max(n // 3, 1))
@@ -420,12 +427,20 @@ def run_upm_bench(quick: bool = False) -> dict:
     reference, t_reference = timed_fit("reference", 1)
     fast, t_fast = timed_fit("fast", 1)
     fast4, t_fast4 = timed_fit("fast", 4)
-    bit_identical = (
-        np.array_equal(reference.theta, fast.theta)
-        and np.array_equal(reference.beta, fast.beta)
-        and np.array_equal(reference.theta, fast4.theta)
-        and np.array_equal(reference.beta, fast4.beta)
-    )
+
+    def identical(model) -> bool:
+        return (
+            all(
+                np.array_equal(a, b)
+                for a, b in zip(reference._assignments, model._assignments)
+            )
+            and np.array_equal(reference.theta, model.theta)
+            and np.array_equal(reference.beta, model.beta)
+            and model.fit_stats.sweep_log_likelihood
+            == reference.fit_stats.sweep_log_likelihood
+        )
+
+    bit_identical = identical(fast) and identical(fast4)
 
     def throughput(model) -> float:
         stats = model.fit_stats
@@ -1214,6 +1229,11 @@ def main() -> int:
             json.dumps(upm_record, indent=2) + "\n"
         )
         print(f"wrote {args.upm_output}")
+        if not upm_record["bit_identical"]:
+            fail(
+                "fast UPM fits (serial and 4 workers) diverged from the "
+                "reference engine"
+            )
     if args.obs:
         obs_row = run_obs_bench()
         obs_record = {

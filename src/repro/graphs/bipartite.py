@@ -45,6 +45,27 @@ class Bipartite:
         )
         self._facet_sets.pop(query, None)
 
+    @classmethod
+    def from_rows(cls, rows: dict[str, dict[str, float]]) -> "Bipartite":
+        """A bipartite over query -> facet -> weight *rows*, taken as given.
+
+        The facet index is built in one pass.  Skips :meth:`add`'s
+        validation, so callers must pass positive weights and non-empty
+        names (for example by scaling an existing bipartite's weights by
+        positive factors); the result equals adding every edge in row
+        order, key order included.
+        """
+        bipartite = cls()
+        facet_edges = bipartite._facet_edges
+        for query, row in rows.items():
+            for facet, weight in row.items():
+                column = facet_edges.get(facet)
+                if column is None:
+                    column = facet_edges[facet] = {}
+                column[query] = weight
+        bipartite._edges = rows
+        return bipartite
+
     def scale_facet(self, facet: str, factor: float) -> None:
         """Multiply every edge incident to *facet* by *factor* (> 0)."""
         if factor <= 0:

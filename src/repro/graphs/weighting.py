@@ -49,7 +49,6 @@ def apply_cfiqf(bipartite: Bipartite, total_queries: int) -> Bipartite:
     (connected to every submission) keep a small epsilon weight instead of
     dropping out of the graph entirely.
     """
-    weighted = Bipartite()
     epsilon = 1e-3
     factors: dict[str, float] = {}
     for facet in bipartite.facets:
@@ -57,10 +56,16 @@ def apply_cfiqf(bipartite: Bipartite, total_queries: int) -> Bipartite:
         # |Q|; clamp so iqf stays defined (and non-negative).
         count = min(bipartite.facet_weight_sum(facet), float(total_queries))
         factors[facet] = max(iqf(total_queries, count), epsilon)
-    for query in bipartite.queries:
-        for facet, raw in bipartite.facets_of(query).items():
-            weighted.add(query, facet, raw * factors[facet])
-    return weighted
+    # Positive raw weights times positive factors: every edge is valid.
+    return Bipartite.from_rows(
+        {
+            query: {
+                facet: raw * factors[facet]
+                for facet, raw in bipartite.facets_of(query).items()
+            }
+            for query in bipartite.queries
+        }
+    )
 
 
 def facet_entropy(bipartite: Bipartite, facet: str) -> float:
@@ -92,11 +97,15 @@ def apply_entropy_bias(bipartite: Bipartite) -> Bipartite:
     focused facet keeps its weight, while a facet spread uniformly over
     unrelated queries (the hub-URL pathology) is suppressed.
     """
-    weighted = Bipartite()
     entropies = {
         facet: facet_entropy(bipartite, facet) for facet in bipartite.facets
     }
-    for query in bipartite.queries:
-        for facet, raw in bipartite.facets_of(query).items():
-            weighted.add(query, facet, raw / (1.0 + entropies[facet]))
-    return weighted
+    return Bipartite.from_rows(
+        {
+            query: {
+                facet: raw / (1.0 + entropies[facet])
+                for facet, raw in bipartite.facets_of(query).items()
+            }
+            for query in bipartite.queries
+        }
+    )

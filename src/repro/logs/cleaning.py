@@ -88,10 +88,19 @@ def clean_log(
     robots = {u for u, n in user_volume.items() if n > rules.max_user_queries}
     report.robot_users = sorted(robots)
 
+    # Each distinct raw query is normalized once, and each distinct
+    # normalized query tokenized once.
+    normalized_of: dict[str, str] = {}
+    for record in log:
+        if record.query not in normalized_of:
+            normalized_of[record.query] = normalize_query(record.query)
+    terms_of = {
+        query: len(tokenize(query)) for query in set(normalized_of.values())
+    }
     # Query frequency is counted over non-robot rows so that a robot hammering
     # one query cannot rescue it from the rare-query filter.
     frequency: Counter[str] = Counter(
-        normalize_query(record.query)
+        normalized_of[record.query]
         for record in log
         if record.user_id not in robots
     )
@@ -101,8 +110,8 @@ def clean_log(
         if record.user_id in robots:
             report.dropped_robot_users += 1
             continue
-        normalized = normalize_query(record.query)
-        n_terms = len(tokenize(normalized))
+        normalized = normalized_of[record.query]
+        n_terms = terms_of[normalized]
         if n_terms < rules.min_query_terms:
             report.dropped_empty += 1
             continue

@@ -42,15 +42,30 @@ class QueryLog:
         self._query_counts: Counter[str] = Counter()
         self._term_counts: Counter[str] = Counter()
         self._url_counts: Counter[str] = Counter()
+        self._count(self._records)
         for record in self._records:
             self._by_user[record.user_id].append(record)
-            query = normalize_query(record.query)
-            self._query_counts[query] += 1
-            self._term_counts.update(set(tokenize(query)))
-            if record.clicked_url is not None:
-                self._url_counts[record.clicked_url] += 1
         for user_records in self._by_user.values():
             user_records.sort(key=lambda r: (r.timestamp, r.record_id))
+
+    def _count(self, records: list[QueryRecord]) -> None:
+        """Fold *records* into the query, term and URL counters.
+
+        Each distinct raw query is normalized once and each distinct
+        normalized query tokenized once; its terms are counted once,
+        weighted by its row count.  Keys still enter every counter in
+        first-occurrence order, as a row-by-row pass would insert them.
+        """
+        rows: Counter[str] = Counter()
+        for raw, n in Counter(record.query for record in records).items():
+            rows[normalize_query(raw)] += n
+        for query, n in rows.items():
+            self._query_counts[query] += n
+            for term in set(tokenize(query)):
+                self._term_counts[term] += n
+        for record in records:
+            if record.clicked_url is not None:
+                self._url_counts[record.clicked_url] += 1
 
     # -- basic container protocol -------------------------------------------------
 
@@ -165,14 +180,10 @@ class QueryLog:
         # re-sorted list — the same (timestamp, record_id) order the batch
         # constructor produces.
         clone._by_user = defaultdict(list, self._by_user)
+        clone._count(appended)
         fresh: dict[str, list[QueryRecord]] = {}
         for record in appended:
             fresh.setdefault(record.user_id, []).append(record)
-            query = normalize_query(record.query)
-            clone._query_counts[query] += 1
-            clone._term_counts.update(set(tokenize(query)))
-            if record.clicked_url is not None:
-                clone._url_counts[record.clicked_url] += 1
         for user_id, new_records in fresh.items():
             merged = list(self._by_user.get(user_id, [])) + new_records
             merged.sort(key=lambda r: (r.timestamp, r.record_id))

@@ -1,59 +1,68 @@
-"""Vectorized, process-parallel Gibbs kernel behind ``UPM.fit`` (fast engine).
+"""Step-batched, process-parallel Gibbs kernel behind ``UPM.fit`` (fast engine).
 
 The reference sampler (``UPM._session_log_prob`` / ``UPM._sweep_document``)
-is the specification: per session it rebuilds a unique-token dict, calls
-``gammaln`` twice per unique token on a ``(K,)`` vector, and recomputes the
-``β``/``δ`` row sums — a full ``(K, W)`` reduction — on *every* session
-evaluation.  This module evaluates the identical Eq. 23 quantities an
-order of magnitude faster while remaining **bit-identical**:
+is the specification: it walks the sessions of one document after another,
+rebuilds a unique-token dict per session, calls ``gammaln`` twice per
+unique token on a ``(K,)`` vector, and recomputes the ``β``/``δ`` row sums
+on every session.  This module evaluates the identical Eq. 23 quantities
+for *many sessions per numpy call* while remaining **bit-identical**.
 
-* per-session token structure (unique ids in first-occurrence order, their
-  multiplicities, local column indices) is precomputed once per fit
-  (:func:`repro.topicmodels.corpus.first_occurrence_counts`);
-* the ``2·(n_unique)+2`` (plus URL) ``gammaln`` arguments of one session
-  are assembled into a single matrix and evaluated with one ufunc call
-  into a preallocated buffer; ``gammaln`` is elementwise, so each output
-  value equals the per-token call of the reference exactly;
-* the whole Eq. 23 computation is one left-to-right chain of ``(K,)``
-  additions — prior, time term, per-token terms, totals terms — so the
-  kernel lays the terms out as rows of a ``(width, K)`` matrix and folds
-  them with a single ``np.add.accumulate``, which is *sequential by
-  definition* (``r[i] = r[i-1] + a[i]``, never pairwise) and therefore
-  reproduces the reference's ``+=`` chain bit for bit;
-* ``β``/``δ`` row sums, per-session ``β``/``δ`` column gathers, and the
-  Beta-time log density are cached and refreshed only at hyperparameter
-  barriers — the only points where they can change;
-* count updates apply a session's whole token vector at once (integer
-  counts are exact in float64, so ``+= n`` equals ``n`` repetitions of
-  ``+= 1`` bitwise).
+**Step batching.**  Between hyperparameter barriers, documents couple
+only through the frozen ``α``/``β``/``δ``/``τ``, and every ``(document,
+sweep)`` pair draws from its own stream (:func:`doc_rng`).  Resampling
+session *s* of one document reads and writes only that document's counts
+and must only follow sessions ``0..s-1`` of the same document, so a sweep
+is a sequence of *steps*: step *s* resamples the *s*-th session of every
+document that has one, all at once.  A corpus whose longest history has
+``S`` sessions needs ``S`` steps per sweep, whatever its number of
+sessions.  Per step:
 
-The bit-identity contract (enforced by ``tests/personalize/``):
+* the removal and re-insertion of each session's counts are exact scatter
+  updates into one flat ``(K, ΣW_d)`` word table (and ``(K, ΣU_d)`` URL
+  table) whose column block ``d`` is document *d*'s local vocabulary;
+  within a step every (topic, column) pair is distinct, and integer counts
+  are exact in float64;
+* every ``gammaln`` argument of the step (per token ``base + count`` and
+  ``base``, per session ``totals`` and ``totals + length``, per channel) is
+  stacked into one ragged ``(rows, K)`` matrix and evaluated with one
+  ufunc call; ``gammaln`` is elementwise, so each value equals the
+  reference's per-token call;
+* each session's Eq. 23 terms are laid out in the reference's
+  accumulation order (prior, time, words, word total, URLs, URL total) in
+  a ``(width, sessions, K)`` chain, zero-padded *after* the session's own
+  terms, and folded with one ``np.add.accumulate`` along the first axis —
+  sequential by definition (``r[i] = r[i-1] + a[i]``), and ``x + 0.0 ==
+  x``, so every session's last row is the reference's ``+=`` chain bit for
+  bit;
+* the inverse-CDF draw becomes a row-wise ``cumsum`` and a count of
+  cumulative entries ``<= u·total`` (``searchsorted(side="right")`` on a
+  non-decreasing row), clamped to ``K - 1``; ``doc_rng(...).random(S_d)``
+  yields exactly the ``S_d`` scalar draws of the reference.
 
-1. the per-``(document, sweep)`` RNG streams are shared with the reference
-   engine (:func:`doc_rng`), so draws depend on neither the engine nor the
-   worker count;
-2. addition order follows the reference exactly (floating-point addition
-   is not associative): the accumulate chain lists the terms in the
-   reference's accumulation order, and every term is produced by exact
-   elementwise operations (copies, ``+``, ``-``) from values the reference
-   also computes;
-3. values the reference computes through transcendental ufuncs
-   (``log``/``log1p``/``exp``) are evaluated on inputs with the same
-   memory layout (contiguous ``(K,)``) so potentially SIMD-divergent
-   strided paths are never involved, and cached scalars (the time logit)
-   reuse the reference's exact scalar expressions.
+The rest of the bit-identity contract (enforced by ``tests/personalize/``):
+
+1. addition order follows the reference exactly (floating-point addition
+   is not associative), and every term comes from exact elementwise
+   operations (copies, ``+``, ``-``) on values the reference also computes;
+2. ``log``/``exp`` run on C-contiguous arrays of ``(K,)`` rows, as in the
+   reference, so strided fallback loops are never involved; the per-session
+   time logs keep the reference's scalar ``np.log(t)``/``np.log1p(-t)``
+   calls, and the pseudo-log-likelihood keeps its scalar ``math.log``;
+3. ``β``/``δ`` row sums and column gathers and the Beta-time log density
+   are cached per step and refreshed only at hyperparameter barriers — the
+   only points where they can change.
 
 **Process parallelism.**  The paper notes the UPM "can take advantage of
 parallel Gibbs sampling paradigms [31]" (AD-LDA-style document
 partitioning).  For the UPM the partition is *exact*, not an
 approximation: all cross-document coupling flows through ``α``/``β``/
-``δ``/``τ``, which are frozen between hyperopt barriers.  Workers
-therefore sample disjoint document shards for a whole barrier-to-barrier
-segment with no communication, and the master merges their count deltas
-(in canonical document order) before optimizing hyperparameters.  The
-module-level worker entrypoints are spawn-safe; the fork start method is
-preferred when the platform offers it because it shares the read-only
-corpus with workers for free.
+``δ``/``τ``, which are frozen between hyperopt barriers.  Workers run the
+same step-batched kernel over disjoint document shards for a whole
+barrier-to-barrier segment with no communication, and the master writes
+their tables back (in canonical document order) before optimizing
+hyperparameters.  The module-level worker entrypoints are spawn-safe; the
+fork start method is preferred when the platform offers it because it
+shares the read-only corpus with workers for free.
 """
 
 from __future__ import annotations
@@ -64,8 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from repro.topicmodels.corpus import SessionCorpus, first_occurrence_counts
-from repro.utils.rng import sample_index_with_total
+from repro.topicmodels.corpus import SessionCorpus
 
 __all__ = [
     "TIME_EPS",
@@ -112,43 +120,101 @@ def barrier_segments(
     return segments
 
 
-class _SessionView:
-    """Precomputed per-session structure: the session's unique-token CSR row
-    plus barrier-cached hyperparameter gathers and buffer widths."""
-
-    __slots__ = (
-        "w_loc", "w_cnt", "w_cnt_col", "w_gid", "n_words",
-        "u_loc", "u_cnt", "u_cnt_col", "u_gid", "n_urls",
-        "t", "time_logit", "beta_rows", "delta_rows",
-        "args_width", "chain_width",
-    )
-
-    def __init__(self) -> None:
-        self.u_loc = None
-        self.time_logit = None
-        self.beta_rows = None
-        self.delta_rows = None
-
-
 @dataclass
 class ShardState:
     """Mutable sampler state of one document shard (rows in shard order).
 
     This is the unit shipped between master and worker processes at
     segment boundaries: everything a worker needs beyond the read-only
-    corpus and the frozen hyperparameters.
+    corpus and the frozen hyperparameters.  The count tables are flat:
+    the shard's documents' local vocabularies side by side, in shard order.
     """
 
     doc_topic: np.ndarray  # (n_docs, K)
     word_totals: np.ndarray  # (n_docs, K)
     url_totals: np.ndarray  # (n_docs, K)
-    word_counts: list  # per doc: (K, W_d)
-    url_counts: list  # per doc: (K, max(U_d, 1))
-    assignments: list  # per doc: (S_d,) int
+    word_counts: np.ndarray  # (K, ΣW_d)
+    url_counts: np.ndarray  # (K, ΣU_d)
+    assignments: np.ndarray  # (ΣS_d,) int, sessions in shard order
+
+
+class _Tokens:
+    """One channel's unique session tokens, flat in session order."""
+
+    def __init__(self) -> None:
+        self.session: list[int] = []  # flat session index of each token
+        self.col: list[int] = []  # column in the shard's flat table
+        self.gid: list[int] = []  # global id (hyperparameter column)
+        self.count: list[int] = []  # multiplicity within the session
+        self.rank: list[int] = []  # first-occurrence rank within the session
+        self.n_unique: list[int] = []  # per session
+        self.length: list[int] = []  # per session, with repeats
+
+    def add(self, session: int, items, column_of: dict[int, int]) -> None:
+        tally: dict[int, int] = {}
+        for item in items:
+            tally[item] = tally.get(item, 0) + 1
+        for rank, (item, count) in enumerate(tally.items()):
+            self.session.append(session)
+            self.col.append(column_of[item])
+            self.gid.append(item)
+            self.count.append(count)
+            self.rank.append(rank)
+        self.n_unique.append(len(tally))
+        self.length.append(len(items))
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            np.asarray(values, dtype=np.intp)
+            for values in (
+                self.session, self.col, self.gid, self.count, self.rank,
+                self.n_unique, self.length,
+            )
+        )
+
+
+class _Channel:
+    """One step's tokens of one channel (words or URLs).
+
+    ``rows`` are the step's sessions that carry the channel (indices into
+    the step's active rows) and ``doc_rows`` their documents' shard
+    positions; ``tok_row`` maps each token to its session's active row,
+    ``pos`` to its chain row, and ``total_pos`` places each session's
+    totals term after its own tokens.
+    """
+
+    __slots__ = (
+        "rows", "doc_rows", "tok_row", "col", "gid", "count", "count_col",
+        "pos", "length", "length_col", "total_pos", "hyper_rows",
+    )
+
+    def __init__(
+        self, rows, doc_rows, tok_row, col, gid, count, pos, length, total_pos
+    ):
+        self.rows = rows
+        self.doc_rows = doc_rows
+        self.tok_row = tok_row
+        self.col = col
+        self.gid = gid
+        self.count = count.astype(np.float64)
+        self.count_col = self.count[:, None].copy()
+        self.pos = pos
+        self.length = length.astype(np.float64)
+        self.length_col = self.length[:, None].copy()
+        self.total_pos = total_pos
+        self.hyper_rows = None  # (tokens, K) β or δ gather, per barrier
+
+
+class _Step:
+    """Step *s* of a sweep: the *s*-th session of every document having one."""
+
+    __slots__ = (
+        "rows", "sessions", "arange", "width", "words", "urls", "time_rows",
+    )
 
 
 class FastKernel:
-    """Vectorized Gibbs sweeps over one shard of documents.
+    """Step-batched Gibbs sweeps over one shard of documents.
 
     The kernel binds *references* to the sampler state (it mutates the
     arrays in place) and caches every quantity that is constant between
@@ -156,78 +222,103 @@ class FastKernel:
     every barrier to refresh the caches.
     """
 
-    def __init__(
-        self,
-        corpus: SessionCorpus,
-        config,
-        doc_ids,
-        local_word: list | None = None,
-        local_url: list | None = None,
-    ) -> None:
+    def __init__(self, corpus: SessionCorpus, config, doc_ids) -> None:
         self._seed = config.seed
         self._K = config.n_topics
         self._use_time = config.use_time
         self._use_urls = config.use_urls
         self._doc_ids = list(doc_ids)
-        self._views: list[list[_SessionView]] = []
+        docs = [corpus.documents[d] for d in self._doc_ids]
+        self._n_sessions = [len(doc.sessions) for doc in docs]
+        n_sessions = np.asarray(self._n_sessions, dtype=np.intp)
+        offsets = np.zeros(len(docs) + 1, dtype=np.intp)
+        np.cumsum(n_sessions, out=offsets[1:])
+
+        # Flat token structure in (document, session, rank) order; columns
+        # index the shard's flat tables (local vocabularies side by side).
+        words, urls = _Tokens(), _Tokens()
+        log_t: list[float] = []
+        log1m_t: list[float] = []
+        word_at = url_at = 0
+        session = 0
+        for doc in docs:
+            vocab = sorted({w for s in doc.sessions for w in s.words})
+            word_col = {w: word_at + i for i, w in enumerate(vocab)}
+            word_at += len(vocab)
+            vocab = sorted({u for s in doc.sessions for u in s.urls})
+            url_col = {u: url_at + i for i, u in enumerate(vocab)}
+            url_at += len(vocab)
+            for data in doc.sessions:
+                words.add(session, data.words, word_col)
+                urls.add(
+                    session, data.urls if self._use_urls else (), url_col
+                )
+                if self._use_time:
+                    # Scalar calls, exactly as the reference evaluates them.
+                    t = min(max(data.timestamp, TIME_EPS), 1.0 - TIME_EPS)
+                    log_t.append(np.log(t))
+                    log1m_t.append(np.log1p(-t))
+                session += 1
+        self._log_t = np.asarray(log_t, dtype=np.float64)
+        self._log1m_t = np.asarray(log1m_t, dtype=np.float64)
+
         # Chain row 0 is the topic prior; the time logit, when enabled,
         # is row 1 and every Eq. 23 evidence term follows.
-        self._terms_at = 2 if self._use_time else 1
-        max_args = 1
-        max_chain = 1
-        for d in self._doc_ids:
-            doc = corpus.documents[d]
-            if local_word is not None:
-                word_map = local_word[d]
-            else:
-                words = sorted({w for s in doc.sessions for w in s.words})
-                word_map = {w: i for i, w in enumerate(words)}
-            if local_url is not None:
-                url_map = local_url[d]
-            else:
-                urls = sorted({u for s in doc.sessions for u in s.urls})
-                url_map = {u: i for i, u in enumerate(urls)}
-            views: list[_SessionView] = []
-            for session in doc.sessions:
-                view = _SessionView()
-                gids, counts = first_occurrence_counts(session.words)
-                view.w_gid = gids
-                view.w_cnt = counts
-                view.w_cnt_col = counts[:, None].copy()
-                view.w_loc = np.array(
-                    [word_map[w] for w in gids], dtype=np.intp
+        terms_at = 2 if self._use_time else 1
+        step_of = np.arange(offsets[-1]) - np.repeat(offsets[:-1], n_sessions)
+        row_of = np.empty(offsets[-1], dtype=np.intp)
+        w_sess, w_col, w_gid, w_cnt, w_rank, w_unique, w_len = words.arrays()
+        u_sess, u_col, u_gid, u_cnt, u_rank, u_unique, u_len = urls.arrays()
+        # A session's URL tokens follow its words and word total.
+        url_pos = terms_at + w_unique + 1
+        chain_len = url_pos + np.where(u_unique > 0, u_unique + 1, 0)
+        n_steps = int(n_sessions.max(initial=0))
+        w_order, w_bounds = _group_by_step(step_of[w_sess], n_steps)
+        u_order, u_bounds = _group_by_step(step_of[u_sess], n_steps)
+
+        self._steps: list[_Step] = []
+        for s in range(n_steps):
+            step = _Step()
+            step.rows = np.flatnonzero(n_sessions > s)
+            step.sessions = offsets[step.rows] + s
+            step.arange = np.arange(step.rows.size)
+            row_of[step.sessions] = step.arange
+            step.width = int(chain_len[step.sessions].max())
+            tok = w_order[w_bounds[s]: w_bounds[s + 1]]
+            step.words = _Channel(
+                rows=step.arange,
+                doc_rows=step.rows,
+                tok_row=row_of[w_sess[tok]],
+                col=w_col[tok],
+                gid=w_gid[tok],
+                count=w_cnt[tok],
+                pos=terms_at + w_rank[tok],
+                length=w_len[step.sessions],
+                total_pos=terms_at + w_unique[step.sessions],
+            )
+            step.urls = None
+            url_rows = np.flatnonzero(u_unique[step.sessions] > 0)
+            if url_rows.size:
+                tok = u_order[u_bounds[s]: u_bounds[s + 1]]
+                sessions = step.sessions[url_rows]
+                step.urls = _Channel(
+                    rows=url_rows,
+                    doc_rows=step.rows[url_rows],
+                    tok_row=row_of[u_sess[tok]],
+                    col=u_col[tok],
+                    gid=u_gid[tok],
+                    count=u_cnt[tok],
+                    pos=url_pos[u_sess[tok]] + u_rank[tok],
+                    length=u_len[sessions],
+                    total_pos=url_pos[sessions] + u_unique[sessions],
                 )
-                view.n_words = float(len(session.words))
-                n = gids.size
-                view.args_width = 2 * n + 2
-                view.chain_width = self._terms_at + n + 1
-                if self._use_urls and session.urls:
-                    ugids, ucounts = first_occurrence_counts(session.urls)
-                    view.u_gid = ugids
-                    view.u_cnt = ucounts
-                    view.u_cnt_col = ucounts[:, None].copy()
-                    view.u_loc = np.array(
-                        [url_map[u] for u in ugids], dtype=np.intp
-                    )
-                    view.n_urls = float(len(session.urls))
-                    view.args_width += 2 * ugids.size + 2
-                    view.chain_width += ugids.size + 1
-                view.t = min(max(session.timestamp, TIME_EPS), 1.0 - TIME_EPS)
-                max_args = max(max_args, view.args_width)
-                max_chain = max(max_chain, view.chain_width)
-                views.append(view)
-            self._views.append(views)
-        # Scratch buffers shared by every session (sliced to each session's
-        # width); rows are (K,) vectors so the hot unary ufuncs always see
-        # contiguous memory, like the reference's fresh arrays.
-        self._args = np.empty((max_args, self._K))
-        self._gammas = np.empty((max_args, self._K))
-        self._chain = np.empty((max_chain, self._K))
+            step.time_rows = None
+            self._steps.append(step)
 
     # -- state + hyperparameter binding ----------------------------------------------
 
     def bind_state(self, state: ShardState) -> None:
-        """Attach the mutable sampler state (mutated in place, by row)."""
+        """Attach the mutable sampler state (mutated in place)."""
         self._state = state
 
     def set_hyperparameters(
@@ -244,137 +335,120 @@ class FastKernel:
         beta_t = beta.T
         delta_t = delta.T
         if self._use_time:
+            # The reference's per-session expression, one session per row.
             a, b = tau[:, 0], tau[:, 1]
-            log_beta_norm = betaln(a, b)
-        for views in self._views:
-            for view in views:
-                view.beta_rows = beta_t[view.w_gid]
-                if view.u_loc is not None:
-                    view.delta_rows = delta_t[view.u_gid]
-                if self._use_time:
-                    # Scalar-input expressions, exactly as the reference
-                    # engine evaluates them per session.
-                    t = view.t
-                    view.time_logit = (
-                        (a - 1.0) * np.log(t)
-                        + (b - 1.0) * np.log1p(-t)
-                        - log_beta_norm
-                    )
+            time_logit = (
+                (a - 1.0) * self._log_t[:, None]
+                + (b - 1.0) * self._log1m_t[:, None]
+                - betaln(a, b)
+            )
+        for step in self._steps:
+            step.words.hyper_rows = beta_t[step.words.gid]
+            if step.urls is not None:
+                step.urls.hyper_rows = delta_t[step.urls.gid]
+            if self._use_time:
+                step.time_rows = time_logit[step.sessions]
 
     # -- sweeps ----------------------------------------------------------------------
 
     def sweep(self, sweep_index: int) -> np.ndarray:
-        """One Gibbs sweep over the shard; returns per-document pseudo-LL."""
-        out = np.empty(len(self._doc_ids))
-        for pos, d in enumerate(self._doc_ids):
-            out[pos] = self.sweep_document(
-                pos, doc_rng(self._seed, sweep_index, d)
-            )
-        return out
+        """One Gibbs sweep over the shard; returns per-document pseudo-LL.
 
-    def sweep_document(self, pos: int, rng: np.random.Generator) -> float:
-        """Resample every session of the document at shard position *pos*.
-
-        Returns the document's Gibbs pseudo-log-likelihood: the summed log
-        posterior probability of the drawn assignments, a free byproduct
-        of the already-computed logits.
+        A document's pseudo-log-likelihood is the summed log posterior
+        probability of its drawn assignments, a free byproduct of the
+        already-computed logits.
         """
-        state = self._state
-        doc_topic = state.doc_topic[pos]
-        word_counts = state.word_counts[pos]
-        url_counts = state.url_counts[pos]
-        word_totals = state.word_totals[pos]
-        url_totals = state.url_totals[pos]
-        word_counts_t = word_counts.T
-        url_counts_t = url_counts.T
-        z = state.assignments[pos]
-        alpha = self._alpha
-        beta_sums = self._beta_sums
-        delta_sums = self._delta_sums
-        terms_at = self._terms_at
-        log_likelihood = 0.0
-
-        for s, view in enumerate(self._views[pos]):
-            k_old = int(z[s])
-            has_urls = view.u_loc is not None
-            doc_topic[k_old] -= 1.0
-            word_counts[k_old, view.w_loc] -= view.w_cnt
-            word_totals[k_old] -= view.n_words
-            if has_urls:
-                url_counts[k_old, view.u_loc] -= view.u_cnt
-                url_totals[k_old] -= view.n_urls
-
-            chain = self._chain[: view.chain_width]
-            args = self._args[: view.args_width]
-
-            prior = chain[0]
-            np.add(doc_topic, alpha, out=prior)
-            np.log(prior, out=prior)
-            if view.time_logit is not None:
-                chain[1] = view.time_logit
-
-            # Rows of ``args``: [base + count | base | totals | totals + len]
-            # per channel, where base = counts + hyperparameter gather.
-            n = view.w_loc.size
-            base = args[n: 2 * n]
-            np.add(word_counts_t[view.w_loc], view.beta_rows, out=base)
-            np.add(base, view.w_cnt_col, out=args[:n])
-            totals = args[2 * n]
-            np.add(word_totals, beta_sums, out=totals)
-            np.add(totals, view.n_words, out=args[2 * n + 1])
-            if has_urls:
-                offset = 2 * n + 2
-                m = view.u_loc.size
-                url_base = args[offset + m: offset + 2 * m]
-                np.add(
-                    url_counts_t[view.u_loc], view.delta_rows, out=url_base
-                )
-                np.add(url_base, view.u_cnt_col, out=args[offset: offset + m])
-                url_tot = args[offset + 2 * m]
-                np.add(url_totals, delta_sums, out=url_tot)
-                np.add(url_tot, view.n_urls, out=args[offset + 2 * m + 1])
-
-            gammas = self._gammas[: view.args_width]
-            gammaln(args, out=gammas)
-
-            # Lay the Eq. 23 terms out in the reference's accumulation
-            # order; subtraction is exact, so each chain row holds the
-            # identical term the reference adds with ``+=``.
-            np.subtract(
-                gammas[:n], gammas[n: 2 * n],
-                out=chain[terms_at: terms_at + n],
-            )
-            np.subtract(
-                gammas[2 * n], gammas[2 * n + 1], out=chain[terms_at + n]
-            )
-            if has_urls:
-                at = terms_at + n + 1
-                np.subtract(
-                    gammas[offset: offset + m],
-                    gammas[offset + m: offset + 2 * m],
-                    out=chain[at: at + m],
-                )
-                np.subtract(
-                    gammas[offset + 2 * m], gammas[offset + 2 * m + 1],
-                    out=chain[at + m],
-                )
-
-            # Sequential left-to-right fold == the reference's += chain.
-            np.add.accumulate(chain, axis=0, out=chain)
-            logits = chain[view.chain_width - 1]
-            logits -= logits.max()
-            weights = np.exp(logits)
-            k_new, total = sample_index_with_total(rng, weights)
-            log_likelihood += float(logits[k_new]) - math.log(total)
-
-            z[s] = k_new
-            doc_topic[k_new] += 1.0
-            word_counts[k_new, view.w_loc] += view.w_cnt
-            word_totals[k_new] += view.n_words
-            if has_urls:
-                url_counts[k_new, view.u_loc] += view.u_cnt
-                url_totals[k_new] += view.n_urls
+        draws = np.concatenate(
+            [
+                doc_rng(self._seed, sweep_index, d).random(n)
+                for d, n in zip(self._doc_ids, self._n_sessions)
+            ]
+        )
+        log_likelihood = np.zeros(len(self._doc_ids))
+        for step in self._steps:
+            self._resample_step(step, draws, log_likelihood)
         return log_likelihood
+
+    def _resample_step(
+        self, step: _Step, draws: np.ndarray, log_likelihood: np.ndarray
+    ) -> None:
+        """Resample the sessions of *step* (one per active document)."""
+        state = self._state
+        channels = [
+            (step.words, state.word_counts, state.word_totals,
+             self._beta_sums),
+        ]
+        if step.urls is not None:
+            channels.append(
+                (step.urls, state.url_counts, state.url_totals,
+                 self._delta_sums)
+            )
+        k_old = state.assignments[step.sessions]
+        self._apply(step, channels, k_old, -1.0)
+
+        # Every gammaln argument of the step in one stack, per channel:
+        # base + count, base, totals, totals + length, where base is the
+        # counts plus the hyperparameter gather.
+        blocks = []
+        for channel, counts, totals, sums in channels:
+            base = counts[:, channel.col].T + channel.hyper_rows
+            tot = totals[channel.doc_rows] + sums
+            blocks += [base + channel.count_col, base, tot,
+                       tot + channel.length_col]
+        gammas = np.split(
+            gammaln(np.concatenate(blocks)),
+            np.cumsum([len(block) for block in blocks[:-1]]),
+        )
+
+        # Lay each session's Eq. 23 terms out in the reference's
+        # accumulation order; subtraction is exact, and the zero rows
+        # after a session's own terms add exact +0.0.
+        chain = np.zeros((step.width, step.rows.size, self._K))
+        prior = chain[0]
+        np.add(state.doc_topic[step.rows], self._alpha, out=prior)
+        np.log(prior, out=prior)
+        if step.time_rows is not None:
+            chain[1] = step.time_rows
+        for i, (channel, _, _, _) in enumerate(channels):
+            high, low, tot, tot_high = gammas[4 * i: 4 * i + 4]
+            chain[channel.pos, channel.tok_row] = high - low
+            chain[channel.total_pos, channel.rows] = tot - tot_high
+        # Sequential fold along the chain == the reference's += chain.
+        np.add.accumulate(chain, axis=0, out=chain)
+
+        logits = chain[-1]
+        logits -= logits.max(axis=1, keepdims=True)
+        cumulative = np.exp(logits)
+        np.cumsum(cumulative, axis=1, out=cumulative)
+        total = cumulative[:, -1]
+        if not (total > 0).all():
+            raise ValueError("weights must have positive sum")
+        draw = draws[step.sessions] * total
+        k_new = np.count_nonzero(cumulative <= draw[:, None], axis=1)
+        np.minimum(k_new, self._K - 1, out=k_new)
+        log_likelihood[step.rows] += logits[step.arange, k_new] - np.array(
+            [math.log(value) for value in total.tolist()]
+        )
+        state.assignments[step.sessions] = k_new
+        self._apply(step, channels, k_new, 1.0)
+
+    def _apply(self, step: _Step, channels, topics, sign: float) -> None:
+        """Add (``sign=1``) or remove (``-1``) the step's sessions' counts
+        under *topics*; within a step every updated cell is distinct."""
+        self._state.doc_topic[step.rows, topics] += sign
+        for channel, counts, totals, _ in channels:
+            counts[topics[channel.tok_row], channel.col] += sign * channel.count
+            totals[channel.doc_rows, topics[channel.rows]] += (
+                sign * channel.length
+            )
+
+
+def _group_by_step(
+    steps: np.ndarray, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order grouping tokens by step, with each group's bounds."""
+    order = np.argsort(steps, kind="stable")
+    return order, np.searchsorted(steps[order], np.arange(n_steps + 1))
 
 
 # -- process-worker entrypoints (spawn-safe: module level, no closures) --------------
@@ -400,9 +474,9 @@ def run_shard_segment(
 
     Returns ``(state, log_likelihoods, seconds)`` where *log_likelihoods*
     is ``(n_sweeps, n_docs)`` in shard order and *seconds* the per-sweep
-    wall clock of this shard.  The kernel (per-session precompute) is
-    cached across segments in the worker process; only the mutable state
-    and the refreshed hyperparameters travel.
+    wall clock of this shard.  The kernel (per-step precompute) is cached
+    across segments in the worker process; only the mutable state and the
+    refreshed hyperparameters travel.
     """
     from time import perf_counter
 

@@ -21,10 +21,12 @@ method-of-moments Beta fit (same resolution as Topics-over-Time).
 
 **Engines.**  ``UPMConfig.engine`` selects how ``fit`` runs the sampler:
 
-* ``"fast"`` (default) — the vectorized kernel of
-  :mod:`repro.personalize.gibbs_fast`; with ``n_workers > 1`` documents are
-  sharded across *processes* (the document partition is exact for the UPM,
-  so this is true parallelism, not AD-LDA approximation);
+* ``"fast"`` (default) — the step-batched kernel of
+  :mod:`repro.personalize.gibbs_fast`, which resamples the *s*-th session
+  of every document in one vectorized step; with ``n_workers > 1``
+  documents are sharded across *processes* (the document partition is
+  exact for the UPM, so this is true parallelism, not AD-LDA
+  approximation);
 * ``"reference"`` — the straightforward per-session implementation below,
   kept as the executable specification; it always runs serially.
 
@@ -267,6 +269,7 @@ class UPM:
 
     def fit(self, corpus: SessionCorpus) -> "UPM":
         """Run collapsed Gibbs with interleaved hyperparameter optimization."""
+        start_time = perf_counter()
         if corpus.n_documents == 0:
             raise ValueError("corpus has no documents")
         config = self.config
@@ -284,27 +287,11 @@ class UPM:
         # Per-document local vocabularies keep the count tables small.
         self._local_word: list[dict[int, int]] = []
         self._local_url: list[dict[int, int]] = []
-        self._word_counts: list[np.ndarray] = []  # (K, W_d) per doc
-        self._url_counts: list[np.ndarray] = []  # (K, U_d) per doc
-        self._word_totals = np.zeros((D, K))
-        self._url_totals = np.zeros((D, K))
-        self._doc_topic = np.zeros((D, K))
-        self._assignments: list[np.ndarray] = []
-
-        for d, doc in enumerate(corpus.documents):
+        for doc in corpus.documents:
             words = sorted({w for s in doc.sessions for w in s.words})
             urls = sorted({u for s in doc.sessions for u in s.urls})
             self._local_word.append({w: i for i, w in enumerate(words)})
             self._local_url.append({u: i for i, u in enumerate(urls)})
-            self._word_counts.append(np.zeros((K, len(words))))
-            self._url_counts.append(np.zeros((K, max(len(urls), 1))))
-            init_rng = self._doc_rng(d, sweep=0)
-            z = np.asarray(
-                init_rng.integers(0, K, size=len(doc.sessions)), dtype=int
-            )
-            self._assignments.append(z)
-            for s, session in enumerate(doc.sessions):
-                self._apply_session(d, s, int(z[s]), +1)
 
         # Global-id gathers of each document's local vocabulary — the CSR
         # structure the sparse hyperparameter optimization slots counts
@@ -318,20 +305,40 @@ class UPM:
             for m in self._local_url
         ]
         self._word_indices = np.concatenate(self._doc_word_gids)
-        self._word_indptr = np.zeros(D + 1, dtype=np.int64)
-        np.cumsum(
-            [g.size for g in self._doc_word_gids], out=self._word_indptr[1:]
-        )
+        self._word_indptr = _indptr([g.size for g in self._doc_word_gids])
         self._url_indices = np.concatenate(self._doc_url_gids)
-        self._url_indptr = np.zeros(D + 1, dtype=np.int64)
-        np.cumsum(
-            [g.size for g in self._doc_url_gids], out=self._url_indptr[1:]
+        self._url_indptr = _indptr([g.size for g in self._doc_url_gids])
+        self._session_indptr = _indptr(
+            [len(doc.sessions) for doc in corpus.documents]
         )
+
+        # One flat count table per channel, laid out like that CSR: row k
+        # of the table is topic k's counts over every document's local
+        # vocabulary.  ``_word_counts[d]`` / ``_url_counts[d]`` are
+        # document d's (K, W_d) / (K, U_d) column views of it, and
+        # ``_assignments[d]`` views d's sessions in the flat topic vector.
+        self._word_table = np.zeros((K, self._word_indices.size))
+        self._url_table = np.zeros((K, self._url_indices.size))
+        self._word_counts = _column_views(self._word_table, self._word_indptr)
+        self._url_counts = _column_views(self._url_table, self._url_indptr)
+        self._session_topic = np.empty(self._session_indptr[-1], dtype=int)
+        self._assignments = [
+            self._session_topic[a:b]
+            for a, b in zip(self._session_indptr[:-1], self._session_indptr[1:])
+        ]
+        self._word_totals = np.zeros((D, K))
+        self._url_totals = np.zeros((D, K))
+        self._doc_topic = np.zeros((D, K))
+        for d, doc in enumerate(corpus.documents):
+            init_rng = self._doc_rng(d, sweep=0)
+            z = self._assignments[d]
+            z[:] = init_rng.integers(0, K, size=len(doc.sessions))
+            for s in range(len(doc.sessions)):
+                self._apply_session(d, s, int(z[s]), +1)
 
         self._fit_registry = MetricsRegistry()
         self._s_ll = self._fit_registry.series("upm.sweep.log_likelihood")
         self._s_secs = self._fit_registry.series("upm.sweep.seconds")
-        start_time = perf_counter()
         if config.engine == "fast":
             if config.n_workers > 1 and D > 1:
                 self._fit_fast_parallel()
@@ -382,20 +389,16 @@ class UPM:
     def _bound_kernel(self) -> FastKernel:
         """A kernel over all documents bound directly to this model's state."""
         kernel = FastKernel(
-            self._corpus,
-            self.config,
-            range(self._corpus.n_documents),
-            local_word=self._local_word,
-            local_url=self._local_url,
+            self._corpus, self.config, range(self._corpus.n_documents)
         )
         kernel.bind_state(
             ShardState(
                 doc_topic=self._doc_topic,
                 word_totals=self._word_totals,
                 url_totals=self._url_totals,
-                word_counts=self._word_counts,
-                url_counts=self._url_counts,
-                assignments=self._assignments,
+                word_counts=self._word_table,
+                url_counts=self._url_table,
+                assignments=self._session_topic,
             )
         )
         kernel.set_hyperparameters(
@@ -432,7 +435,10 @@ class UPM:
         config = self.config
         D = self._corpus.n_documents
         n_workers = min(config.n_workers, D)
-        shards = [list(range(D))[i::n_workers] for i in range(n_workers)]
+        shards = [
+            _ShardIndex(list(range(D))[i::n_workers], self)
+            for i in range(n_workers)
+        ]
         segments = barrier_segments(config.iterations, config.hyperopt_every)
         ll_rows = np.empty((config.iterations, D))
         secs = np.zeros(config.iterations)
@@ -453,7 +459,7 @@ class UPM:
                         shard,
                         pool.submit(
                             run_shard_segment,
-                            tuple(shard),
+                            tuple(shard.docs),
                             self._extract_shard(shard),
                             hyper,
                             sweep_start,
@@ -466,7 +472,7 @@ class UPM:
                 for shard, future in futures:
                     state, shard_lls, shard_secs = future.result()
                     self._merge_shard(shard, state)
-                    ll_rows[rows, shard] = shard_lls
+                    ll_rows[rows, shard.docs] = shard_lls
                     np.maximum(secs[rows], shard_secs, out=secs[rows])
                 for row in range(sweep_start - 1, sweep_stop):
                     self._observe_sweep(
@@ -474,24 +480,25 @@ class UPM:
                     )
                 self._maybe_optimize(sweep_stop)
 
-    def _extract_shard(self, shard: list[int]) -> ShardState:
+    def _extract_shard(self, shard: "_ShardIndex") -> ShardState:
         return ShardState(
-            doc_topic=self._doc_topic[shard],
-            word_totals=self._word_totals[shard],
-            url_totals=self._url_totals[shard],
-            word_counts=[self._word_counts[d] for d in shard],
-            url_counts=[self._url_counts[d] for d in shard],
-            assignments=[self._assignments[d] for d in shard],
+            doc_topic=self._doc_topic[shard.docs],
+            word_totals=self._word_totals[shard.docs],
+            url_totals=self._url_totals[shard.docs],
+            word_counts=self._word_table[:, shard.word_cols],
+            url_counts=self._url_table[:, shard.url_cols],
+            assignments=self._session_topic[shard.sessions],
         )
 
-    def _merge_shard(self, shard: list[int], state: ShardState) -> None:
-        self._doc_topic[shard] = state.doc_topic
-        self._word_totals[shard] = state.word_totals
-        self._url_totals[shard] = state.url_totals
-        for pos, d in enumerate(shard):
-            self._word_counts[d] = state.word_counts[pos]
-            self._url_counts[d] = state.url_counts[pos]
-            self._assignments[d] = state.assignments[pos]
+    def _merge_shard(self, shard: "_ShardIndex", state: ShardState) -> None:
+        """Write a shard's state back in place (the per-document views of
+        the flat tables stay valid)."""
+        self._doc_topic[shard.docs] = state.doc_topic
+        self._word_totals[shard.docs] = state.word_totals
+        self._url_totals[shard.docs] = state.url_totals
+        self._word_table[:, shard.word_cols] = state.word_counts
+        self._url_table[:, shard.url_cols] = state.url_counts
+        self._session_topic[shard.sessions] = state.assignments
 
     # -- reference sampler internals ---------------------------------------------------
 
@@ -594,28 +601,21 @@ class UPM:
         # flattens every profile), so keep the prior fixed below 5 docs.
         if self._corpus.n_documents >= 5:
             self._alpha = optimize(self._doc_topic, self._alpha)
-        K = config.n_topics
         D = self._corpus.n_documents
         W = self._corpus.n_words
-        for k in range(K):
-            data = np.concatenate(
-                [self._word_counts[d][k] for d in range(D)]
-            )
+        # Row k of a flat count table is exactly the CSR data of topic k.
+        for k in range(config.n_topics):
             counts = sparse.csr_matrix(
-                (data, self._word_indices, self._word_indptr), shape=(D, W)
+                (self._word_table[k], self._word_indices, self._word_indptr),
+                shape=(D, W),
             )
             self._beta[k] = optimize(counts, self._beta[k])
         if config.use_urls and self._corpus.n_urls > 0:
             U = self._corpus.n_urls
-            for k in range(K):
-                data = np.concatenate(
-                    [
-                        self._url_counts[d][k, : self._doc_url_gids[d].size]
-                        for d in range(D)
-                    ]
-                )
+            for k in range(config.n_topics):
                 counts = sparse.csr_matrix(
-                    (data, self._url_indices, self._url_indptr), shape=(D, U)
+                    (self._url_table[k], self._url_indices, self._url_indptr),
+                    shape=(D, U),
                 )
                 self._delta[k] = optimize(counts, self._delta[k])
 
@@ -733,8 +733,7 @@ class UPM:
         """
         self._require_fitted()
         gids = np.array(self._doc_word_gids[d], dtype=np.int64)
-        counts = np.ascontiguousarray(self._word_counts[d].T, dtype=np.float64)
-        return gids, counts
+        return gids, self._word_counts[d].T.copy()
 
     def user_tau(self, user_id: str) -> np.ndarray:
         """Per-user Beta time parameters, shape (K, 2).
@@ -843,3 +842,33 @@ class UPM:
                 float(np.mean(predictive[word_ids])) if word_ids else 0.0
             )
         return scores
+
+
+def _indptr(sizes: list[int]) -> np.ndarray:
+    """CSR row pointer of consecutive blocks of the given sizes."""
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _column_views(table: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
+    """Per-document column views ``table[:, indptr[d]:indptr[d + 1]]``."""
+    return [table[:, a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+class _ShardIndex:
+    """One worker shard's documents and their flat-table positions."""
+
+    def __init__(self, docs: list[int], model: UPM) -> None:
+        self.docs = docs
+        self.word_cols = _block_positions(model._word_indptr, docs)
+        self.url_cols = _block_positions(model._url_indptr, docs)
+        self.sessions = _block_positions(model._session_indptr, docs)
+
+
+def _block_positions(indptr: np.ndarray, blocks: list[int]) -> np.ndarray:
+    """Concatenated positions of the given CSR blocks, in block order."""
+    return np.concatenate(
+        [np.arange(indptr[b], indptr[b + 1]) for b in blocks]
+        + [np.empty(0, dtype=np.int64)]
+    )

@@ -10,10 +10,7 @@ UPM and TOT need).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.logs.schema import Session
 from repro.logs.storage import QueryLog
@@ -24,28 +21,7 @@ __all__ = [
     "Document",
     "SessionCorpus",
     "build_corpus",
-    "first_occurrence_counts",
 ]
-
-
-def first_occurrence_counts(
-    items: Iterable[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unique ids of *items* in first-occurrence order, with multiplicities.
-
-    Returns ``(ids, counts)`` where ``ids`` is an ``int64`` array of the
-    distinct ids ordered by first appearance and ``counts`` a ``float64``
-    array of how often each occurs.  This is the token view every
-    session-level Gibbs sampler needs per session (the Eq. 23 product runs
-    over unique tokens with their counts), precomputed once instead of
-    rebuilt as a dict on every sweep.
-    """
-    tally: dict[int, int] = {}
-    for item in items:
-        tally[item] = tally.get(item, 0) + 1
-    ids = np.fromiter(tally.keys(), dtype=np.int64, count=len(tally))
-    counts = np.fromiter(tally.values(), dtype=np.float64, count=len(tally))
-    return ids, counts
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graphs.bipartite import Bipartite
-from repro.graphs.weighting import apply_cfiqf, iqf
+from repro.graphs.weighting import apply_cfiqf, apply_entropy_bias, iqf
 
 
 class TestIqf:
@@ -95,3 +95,42 @@ class TestApplyCfiqf:
         assert weighted.queries == b.queries
         assert weighted.facets == b.facets
         assert weighted.n_edges == b.n_edges
+
+
+def _layout(bipartite: Bipartite):
+    """Both edge indexes with their key order."""
+    return (
+        [(q, list(row.items())) for q, row in bipartite._edges.items()],
+        [(f, list(col.items())) for f, col in bipartite._facet_edges.items()],
+    )
+
+
+class TestDirectReweighting:
+    """The weighted bipartites equal an edge-by-edge ``add`` rebuild."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["q1", "q2", "q3", "q4"]),
+                st.sampled_from(["a", "b", "c", "d", "e"]),
+                st.sampled_from([1.0, 2.0, 3.0]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_add_rebuild(self, edges):
+        raw = Bipartite()
+        for query, facet, weight in edges:
+            raw.add(query, facet, weight)
+        total = sum(weight for _, _, weight in edges)
+        cfiqf = apply_cfiqf(raw, total_queries=int(total))
+        entropy = apply_entropy_bias(raw)
+        for weighted in (cfiqf, entropy):
+            rebuilt = Bipartite()
+            for query in raw.queries:
+                for facet in raw.facets_of(query):
+                    rebuilt.add(query, facet, weighted.weight(query, facet))
+            assert _layout(weighted) == _layout(rebuilt)
+            assert weighted.facet_set("q1") == rebuilt.facet_set("q1")
+

@@ -1,9 +1,12 @@
 """Tests for repro.logs.storage."""
 
+from collections import Counter
+
 import pytest
 
 from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
+from repro.utils.text import normalize_query, tokenize
 
 
 class TestQueryLogBasics:
@@ -160,3 +163,36 @@ def test_duplicate_rows_counted_independently():
     log = QueryLog(rows)
     assert log.query_frequency("sun") == 3
     assert log.total_queries == 3
+
+
+def _row_by_row_counts(records):
+    """The query and term counters as a one-row-at-a-time pass builds them."""
+    queries: Counter[str] = Counter()
+    terms: Counter[str] = Counter()
+    for record in records:
+        query = normalize_query(record.query)
+        queries[query] += 1
+        terms.update(set(tokenize(query)))
+    return list(queries.items()), list(terms.items())
+
+
+def test_counters_equal_a_row_by_row_pass():
+    # Raw variants that normalize alike, repeats, shared and stopword
+    # terms: counting per distinct query must keep values and key order.
+    raw = ["Sun Java", "sun java!", "JVM", "the sun", "java  jvm", "JVM"]
+    rows = [
+        QueryRecord(user_id=f"u{i % 3}", query=raw[(i * 5) % 6],
+                    timestamp=float(i))
+        for i in range(30)
+    ]
+    log = QueryLog(rows[:17])
+    assert (
+        list(log._query_counts.items()),
+        list(log._term_counts.items()),
+    ) == _row_by_row_counts(rows[:17])
+    extended = log.extend(rows[17:])
+    assert (
+        list(extended._query_counts.items()),
+        list(extended._term_counts.items()),
+    ) == _row_by_row_counts(rows)
+

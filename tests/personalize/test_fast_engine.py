@@ -7,13 +7,22 @@ approximate — for any worker count.  That contract is what makes the
 automatically a test of both engines.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.logs.sessionizer import sessionize
 from repro.personalize.gibbs_fast import barrier_segments
 from repro.personalize.upm import UPM, UPMConfig, fit_beta_moments
-from repro.topicmodels.corpus import build_corpus
+from repro.topicmodels.corpus import (
+    Document,
+    SessionCorpus,
+    SessionData,
+    build_corpus,
+)
 from tests.personalize.test_upm import two_topic_log
 
 
@@ -104,6 +113,91 @@ class TestBitIdentity:
             assert np.array_equal(ref.tau, fast.tau), kwargs
 
 
+#: Small vocabularies, so sessions repeat words and documents share them.
+_N_WORDS = 9
+_N_URLS = 5
+
+
+@st.composite
+def ragged_corpora(draw):
+    """Corpora whose sweep steps are ragged.
+
+    1-6 documents of 1-8 sessions each: later steps cover fewer documents,
+    sessions repeat words, and sessions with and without URLs share a
+    step.  Built directly, the way ``build_corpus`` lays sessions out.
+    """
+    documents = []
+    for d in range(draw(st.integers(1, 6))):
+        sessions = []
+        for _ in range(draw(st.integers(1, 8))):
+            words = draw(
+                st.lists(st.integers(0, _N_WORDS - 1), min_size=1, max_size=7)
+            )
+            urls = draw(
+                st.lists(st.integers(0, _N_URLS - 1), min_size=0, max_size=3)
+            )
+            sessions.append(
+                SessionData(
+                    words=tuple(words),
+                    urls=tuple(urls),
+                    timestamp=draw(st.floats(0.0, 1.0)),
+                )
+            )
+        documents.append(
+            Document(user_id=f"user{d}", sessions=tuple(sessions))
+        )
+    return SessionCorpus(
+        documents=tuple(documents),
+        word_of_id=tuple(f"w{i}" for i in range(_N_WORDS)),
+        id_of_word={f"w{i}": i for i in range(_N_WORDS)},
+        url_of_id=tuple(f"u{i}" for i in range(_N_URLS)),
+        id_of_url={f"u{i}": i for i in range(_N_URLS)},
+    )
+
+
+class TestRaggedSteps:
+    """The step-batched kernel on histories of unequal length.
+
+    The module fixture gives every user the same number of one-query
+    sessions with one URL each, so every step covers every document and
+    every session carries URLs; a kernel that mis-sizes a ragged step
+    passes it.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=ragged_corpora(),
+        n_topics=st.sampled_from([1, 2, 5]),
+        use_urls=st.booleans(),
+        use_time=st.booleans(),
+        hyperopt_every=st.sampled_from([0, 2]),
+        n_workers=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fast_engine_exactly_equals_reference(
+        self, corpus, n_topics, use_urls, use_time, hyperopt_every,
+        n_workers, seed,
+    ):
+        config = dict(
+            n_topics=n_topics, iterations=4, hyperopt_every=hyperopt_every,
+            use_urls=use_urls, use_time=use_time, seed=seed,
+        )
+        reference = UPM(UPMConfig(engine="reference", **config)).fit(corpus)
+        fast = UPM(
+            UPMConfig(engine="fast", n_workers=n_workers, **config)
+        ).fit(corpus)
+        for a, b in zip(reference._assignments, fast._assignments):
+            assert np.array_equal(a, b)
+        for name in ("theta", "alpha", "beta", "delta", "tau"):
+            assert np.array_equal(
+                getattr(reference, name), getattr(fast, name)
+            ), name
+        assert (
+            fast.fit_stats.sweep_log_likelihood
+            == reference.fit_stats.sweep_log_likelihood
+        )
+
+
 class TestBarrierSegments:
     def test_splits_at_hyperopt_multiples(self):
         assert barrier_segments(60, 20) == [(1, 20), (21, 40), (41, 60)]
@@ -179,6 +273,24 @@ class TestFitStats:
         assert all(s >= 0 for s in stats.sweep_seconds)
         assert stats.total_seconds >= sum(stats.sweep_seconds) * 0.5
         assert stats.mean_sweep_seconds > 0
+
+    def test_total_seconds_include_initialization(self, corpus, monkeypatch):
+        # The fast engine applies sessions one by one only while it fills
+        # the initial count tables, so a slow first call is set-up time.
+        original = UPM._apply_session
+        calls = []
+
+        def slow_first_call(self, *args):
+            if not calls:
+                time.sleep(0.2)
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(UPM, "_apply_session", slow_first_call)
+        stats = UPM(
+            UPMConfig(n_topics=2, iterations=2, hyperopt_every=0, seed=0)
+        ).fit(corpus).fit_stats
+        assert stats.total_seconds >= 0.2 + sum(stats.sweep_seconds)
 
     def test_log_likelihood_improves(self, corpus):
         # Monotone-ish: the chain's pseudo-log-likelihood is noisy sweep to
