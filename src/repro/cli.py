@@ -179,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compact-size", type=int, default=150)
     serve.add_argument("--hot-top", type=int, default=0, metavar="N",
                        help="precompute the N most frequent log queries "
-                            "into the shared hot-query table; hits are "
-                            "answered O(1) in the parent (0 = tier off)")
+                            "at publish to seed the parent's answer memo, "
+                            "which answers repeated context-free anonymous "
+                            "requests without a worker round trip "
+                            "(0 = the memo fills from replies only)")
     serve.add_argument("--personalize", action="store_true",
                        help="fit the UPM on the log, publish the profiles "
                             "into the shared profile plane, and serve each "
@@ -613,11 +615,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({served / elapsed:,.0f} QPS)"
         )
         pool_stats = pool.stats()
-        if pool_stats.hot_entries:
+        if pool_stats.hot_hits:
             print(
-                f"hot tier: {pool_stats.hot_hits}/{served} hits "
-                f"({pool_stats.hot_hits / served:.0%}) answered O(1) "
-                f"from the shared table"
+                f"answer memo: {pool_stats.hot_hits}/{served} hits "
+                f"({pool_stats.hot_hits / served:.0%}) answered in the "
+                f"parent without a worker round trip"
             )
         for worker in pool_stats.workers:
             line = (

@@ -63,10 +63,11 @@ def head_queries(log: QueryLog, n: int) -> list[str]:
 
     Real query streams are heavily head-skewed, so a small top-``n`` by
     submission frequency covers a large traffic share.  Ties break
-    lexicographically for a deterministic table across rebuilds.  This is
-    the extraction behind the scale-out pool's precomputed hot-query tier
-    (:class:`repro.serve.pool.SuggestWorkerPool` ``hot_queries`` /
-    ``hot_top``) and :meth:`repro.stream.epoch.Epoch.head_queries`.
+    lexicographically for a deterministic list across rebuilds.  This is
+    the extraction behind the head rankings that seed the scale-out
+    pool's answer memo (:class:`repro.serve.pool.SuggestWorkerPool`
+    ``hot_queries`` / ``hot_top``) and
+    :meth:`repro.stream.epoch.Epoch.head_queries`.
     """
     if n <= 0:
         return []

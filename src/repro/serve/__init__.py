@@ -1,21 +1,21 @@
 """Scale-out serving: zero-copy shared memory + multi-process workers.
 
 :mod:`repro.serve.shm` publishes one generation of the serving plane (the
-CSR incidences/grams, the walk stacks, the vocabularies, and optionally a
-precomputed hot-query table) into a single ``multiprocessing``
-shared-memory segment; :mod:`repro.serve.profile_plane` does the same for
-the personalization layer (theta profiles, per-user topic-word counts,
-user/word vocabs, optional tau) so workers score ``P(q|d)`` zero-copy;
-:mod:`repro.serve.pool` spawns suggest workers that attach read-only
-views over both, route requests by query hash for cache affinity, batch
-each call into one envelope per worker, answer unpersonalized head
-queries O(1) from the hot table in the parent (profiled requests bypass
-the table — their ranking is Borda-fused per user), and swap matrix and
-profile generations through epoch-consistent handshakes;
+CSR incidences/grams, the walk stacks and the vocabularies) into a single
+``multiprocessing`` shared-memory segment; :mod:`repro.serve.profile_plane`
+does the same for the personalization layer (theta profiles, per-user
+topic-word counts, user/word vocabs, optional tau) so workers score
+``P(q|d)`` zero-copy; :mod:`repro.serve.pool` spawns suggest workers that
+attach read-only views over both, route requests by query hash for cache
+affinity, batch each call into one envelope per worker, answer repeated
+context-free requests of anonymous or unprofiled users from a
+per-generation answer memo in the parent (profiled requests bypass it —
+their ranking is Borda-fused per user), and swap matrix and profile
+generations through epoch-consistent handshakes;
 :mod:`repro.serve.frontend` puts an asyncio HTTP/1.1 front-end over the
 pool with dispatch on arrival, per-request deadlines, and depth-driven
 tiered load shedding.  See ``docs/algorithms.md`` ("Scale-out serving",
-"Batched IPC & hot-query fast tier", "Shared profile plane" and "Async
+"Batched IPC", "Parent answer memo", "Shared profile plane" and "Async
 HTTP front-end") for the layouts and protocols.
 """
 
@@ -40,7 +40,6 @@ from repro.serve.profile_plane import (
 )
 from repro.serve.shm import (
     AttachedPlane,
-    SharedHotTable,
     SharedMatrixStore,
     SharedPlaneMeta,
     SharedRepresentation,
@@ -54,7 +53,6 @@ __all__ = [
     "FrontendConfig",
     "FrontendHandle",
     "PoolStats",
-    "SharedHotTable",
     "SharedMatrixStore",
     "SharedPlaneMeta",
     "SharedProfileMeta",

@@ -42,22 +42,24 @@ Concurrent callers (the front-end contract)
     worker forwards to ``PQSDA.suggest`` — the degraded modes the HTTP
     front-end (:mod:`repro.serve.frontend`) sheds into under load.
 
-Hot-query fast tier
-    Real query streams are head-skewed.  Given ``hot_queries`` (or
-    ``hot_top`` over streaming epochs), the pool precomputes the full
-    expand/solve/walk pipeline for those head queries at publish time,
-    packs the results into the same shared segment as the matrices (see
-    :class:`~repro.serve.shm.SharedHotTable`), verifies the packed bytes
-    round-trip bit-identically, and answers context-free hits O(1) in
-    the parent — head traffic never touches a worker queue.  The table
-    stores each query's full diversified ranking, which never depends on
-    the request's ``k`` (``suggest`` slices ``ranking[:k]``), so any
-    ``k`` is served from the same entry; requests carrying a search
-    context — or a profiled ``user_id``, whose worker-side ranking would
-    be Borda-fused with preference scores the table never saw — take the
-    full worker path.  Every :meth:`~SuggestWorkerPool.publish_plane` /
-    epoch swap rebuilds the table against the new generation and swaps it
-    atomically with the segment, so no stale answer survives an epoch.
+Parent answer memo
+    A context-free, unpersonalized ranking depends only on the normalized
+    query and the graph generation, never on the request's ``k``
+    (``suggest`` slices ``ranking[:k]``).  So each graph generation
+    carries one parent-side memo, ``normalized query -> full diversified
+    ranking``, that answers such requests in the parent at any ``k`` and
+    any shed tier without a worker round trip.  It is seeded at publish
+    with the precomputed rankings of ``hot_queries`` (or ``hot_top`` head
+    queries per epoch) and filled from worker replies to context-free,
+    tier-0 requests of anonymous or unprofiled users with
+    ``k >= diversify.k``, whose reply is the full ranking.  Requests with
+    a context or from a profiled user (whose ranking is Borda-fused with
+    preference scores) always take the worker path.  Reply envelopes
+    carry the generation they were computed under, and a reply fills
+    only the memo of the generation its batch was dispatched under, so a
+    batch that straddles a swap is answered but never cached.  The memo
+    is an LRU of ``config.cache_size * n_workers`` entries; a graph
+    publish starts a fresh one, so no answer outlives its generation.
 
 Shared profile plane (personalized serving)
     Given ``profiles`` (or a profile-bearing suggester via
@@ -107,6 +109,7 @@ import threading
 import time
 import traceback
 import zlib
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from multiprocessing import get_context
@@ -131,7 +134,6 @@ from repro.serve.profile_plane import (
 )
 from repro.serve.shm import (
     AttachedPlane,
-    SharedHotTable,
     SharedMatrixStore,
     SharedPlaneMeta,
     SharedRepresentation,
@@ -149,23 +151,62 @@ __all__ = [
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
+class _AnswerMemo:
+    """Thread-safe LRU map: normalized query -> full diversified ranking."""
+
+    __slots__ = ("_entries", "_lock", "_maxsize")
+
+    def __init__(
+        self, maxsize: int, seed: dict[str, list[str]] | None = None
+    ) -> None:
+        self._entries: OrderedDict[str, list[str]] = OrderedDict()
+        self._lock = threading.Lock()
+        self._maxsize = maxsize
+        # Hottest last, so the head is the last to be evicted.
+        for query, ranking in reversed(list((seed or {}).items())):
+            self.put(query, ranking)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, query: str) -> list[str] | None:
+        """The ranking memoized for *query* (marked recent), or ``None``."""
+        with self._lock:
+            ranking = self._entries.get(query)
+            if ranking is not None:
+                self._entries.move_to_end(query)
+            return ranking
+
+    def put(self, query: str, ranking: list[str]) -> None:
+        """Memoize *ranking* for *query*, evicting the least recent entry."""
+        with self._lock:
+            self._entries[query] = ranking
+            self._entries.move_to_end(query)
+            if len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+
+
 @dataclass(frozen=True)
 class _Generation:
     """The parent's state of one serving generation, swapped as a unit.
 
     ``graph`` and ``profiles`` are the generation's **manifest**: the
     shared-memory segments workers attach.  The other fields are what the
-    parent serves and publishes against while the generation is current.
-    A publish derives the successor with :func:`dataclasses.replace` and
-    commits it with one reference assignment.
+    parent serves and publishes against while the generation is current;
+    ``number`` is the ordinal workers report back in their replies.  A
+    publish derives the successor with :func:`dataclasses.replace` and
+    commits it with one reference assignment.  ``memo`` belongs to the
+    graph: a profile-only publish keeps it, because anonymous rankings
+    never read profiles.
     """
 
+    number: int
     graph: SharedMatrixStore | None
     profiles: SharedProfileStore | None
     multibipartite: object
-    hot: SharedHotTable | None
     hot_queries: list[str] | None
     profiled_users: frozenset[str]
+    memo: _AnswerMemo
 
     @property
     def stores(self) -> list:
@@ -240,28 +281,6 @@ def _encode_request(request: SuggestRequest) -> tuple:
         request.timestamp,
         request.shed,
     )
-
-
-def _verified_hot_table(
-    store: SharedMatrixStore, computed: dict[str, list[str]] | None
-) -> SharedHotTable | None:
-    """The store's packed hot table, bit-identity-checked entry by entry.
-
-    Every ranking that went in must come back out of the packed segment
-    bytes verbatim — this is the publish-time proof that a hot hit equals
-    the full expand/solve/walk path it was precomputed from.
-    """
-    if not computed:
-        return None
-    packed = store.hot_table()
-    for query, ranking in computed.items():
-        unpacked = packed.lookup(query)
-        if unpacked != list(ranking):
-            raise RuntimeError(
-                f"hot-table round-trip mismatch for {query!r}: packed "
-                f"{unpacked!r} != computed {list(ranking)!r}"
-            )
-    return packed
 
 
 def _profile_arrays(
@@ -378,7 +397,9 @@ def _worker_main(
                         replies.append((None, traceback.format_exc()))
                 busy_seconds += time.perf_counter() - begin
                 requests_served += len(items)
-                reply_queue.put(("bres", batch_id, worker_id, replies))
+                reply_queue.put(
+                    ("bres", batch_id, worker_id, generation, replies)
+                )
             elif kind == "gen":
                 # Move onto the next manifest, remapping only the segments
                 # whose name changed; the publisher unlinks the superseded
@@ -516,11 +537,10 @@ class PoolStats:
         segment_bytes: Bytes of the current shared segment (counted once,
             however many workers attach).
         workers: Per-worker counters, ordered by ``worker_id``.
-        hot_entries: Entries in the current generation's hot-query table
-            (0 when the hot tier is off).
-        hot_hits: Requests the parent answered O(1) from the hot table
-            since the pool started — these never reached a worker, so
-            they are *not* part of any worker's ``requests`` count.
+        hot_entries: Entries in the current generation's answer memo.
+        hot_hits: Requests the parent answered from its answer memo since
+            the pool started — these never reached a worker, so they are
+            *not* part of any worker's ``requests`` count.
         profile_users: Profiled users in the current profile generation
             (0 = the pool serves without the profile plane).
         profile_generation: Current profile generation ordinal.
@@ -540,7 +560,7 @@ class PoolStats:
 
     @property
     def total_requests(self) -> int:
-        """Requests served by the pool (worker batches + parent hot hits)."""
+        """Requests served by the pool (worker batches + parent memo hits)."""
         return sum(worker.requests for worker in self.workers) + self.hot_hits
 
 
@@ -571,14 +591,15 @@ class SuggestWorkerPool:
             stats replies; a dead worker fails the wait within about a
             second, by name, whatever the timeout.
         prefix: Shared-memory segment name prefix.
-        hot_queries: Head queries to precompute into the shared hot-query
-            table (``None``/empty = no hot tier).  Use
+        hot_queries: Head queries whose rankings are precomputed at each
+            graph publish to seed the generation's answer memo
+            (``None``/empty = the memo starts empty).  Use
             :func:`repro.core.suggester.head_queries` to extract them
             from a log by frequency.
         hot_top: When > 0 and the pool is wired to an epoch manager,
             every epoch publish re-derives ``hot_top`` head queries from
-            the epoch's log and rebuilds the table against the new
-            generation (explicit ``hot_queries`` seed the table until the
+            the epoch's log and precomputes them against the new
+            generation (explicit ``hot_queries`` seed the memo until the
             first epoch arrives).
 
     Use as a context manager (or call :meth:`close`): shutdown stops the
@@ -607,8 +628,8 @@ class SuggestWorkerPool:
         self._config = config
         self._ack_timeout = ack_timeout
         self._prefix = prefix
-        self._generation = 0
         self._closed = False
+        self._memo_size = config.cache_size * n_workers
         self._hot_top = hot_top
         self._hot_hits_total = 0
 
@@ -648,12 +669,13 @@ class SuggestWorkerPool:
         self._dispatcher_stop = threading.Event()
         self._dispatcher: threading.Thread | None = None
         self._current = _Generation(
+            number=0,
             graph=None,
             profiles=None,
             multibipartite=multibipartite,
-            hot=None,
             hot_queries=list(hot_queries) if hot_queries else None,
             profiled_users=frozenset(),
+            memo=_AnswerMemo(self._memo_size),
         )
         try:
             self._current = self._with_graph(
@@ -701,8 +723,9 @@ class SuggestWorkerPool:
 
         One thread owns the read side of the shared reply queue for the
         pool's whole lifetime.  Each ``("bres", batch_id, worker_id,
-        replies)`` envelope is matched to its :class:`_PendingBatch` by
-        id and recorded; the batch's waiter is woken only when every
+        generation, replies)`` envelope is matched to its
+        :class:`_PendingBatch` by id and recorded with the generation it
+        was computed under; the batch's waiter is woken only when every
         expected worker has replied.  Envelopes whose batch is no longer
         registered (it timed out and was deregistered) are drained here —
         the same stale-reply guarantee as before, without a whole-call
@@ -715,7 +738,7 @@ class SuggestWorkerPool:
                 continue
             except (EOFError, OSError, ValueError):  # pragma: no cover
                 return  # queue torn down mid-shutdown
-            _, batch_id, worker_id, replies = message
+            _, batch_id, worker_id, generation, replies = message
             done = False
             with self._pending_lock:
                 pending = self._pending.get(batch_id)
@@ -723,7 +746,7 @@ class SuggestWorkerPool:
                     # Stale envelope from a batch that timed out (and was
                     # deregistered) in an earlier call: drain, never match.
                     continue
-                pending.replies[worker_id] = replies
+                pending.replies[worker_id] = (generation, replies)
                 pending.outstanding -= len(replies)
                 done = len(pending.replies) == len(pending.expected)
             self._m_depth.dec(len(replies))
@@ -739,10 +762,9 @@ class SuggestWorkerPool:
         """Precompute ``{query: full diversified ranking}`` for the head.
 
         Runs the full expand/solve/walk pipeline in the parent against
-        exactly the representation being published, so a packed entry is
-        the same bytes a worker would compute.  The ranking never depends
-        on the request's ``k`` (``suggest`` returns ``ranking[:k]``), so
-        one entry serves every ``k``.
+        exactly the representation being published, so an entry is the
+        ranking a worker would compute.  At most the memo's bound of
+        distinct queries are computed, hottest first.
         """
         if not hot_queries:
             return None
@@ -760,6 +782,8 @@ class SuggestWorkerPool:
             normalized = normalize_query(query)
             if normalized in table:
                 continue
+            if len(table) == self._memo_size:
+                break
             if (
                 normalized not in representation
                 and multibipartite is None
@@ -792,19 +816,18 @@ class SuggestWorkerPool:
         epoch_id: int | None = None,
         hot_queries: Sequence[str] | None = None,
     ) -> _Generation:
-        """*current* with a freshly packed graph plane and hot table.
+        """*current* with a freshly packed graph plane and a fresh memo.
 
         *multibipartite* and *hot_queries* default to the current ones,
-        *epoch_id* to the generation being published.  The hot table is
-        precomputed against exactly the plane being packed, packed into
-        the same segment and round-trip verified, so it swaps with the
-        plane and no request ever gets a hot answer from a superseded
-        generation.
+        *epoch_id* to the generation being published.  The memo is
+        seeded with the hot rankings precomputed against exactly the
+        plane being packed, and swaps with it, so no request ever gets a
+        memoized answer from a superseded graph.
         """
         if multibipartite is None:
             multibipartite = current.multibipartite
         if epoch_id is None:
-            epoch_id = self._generation + 1
+            epoch_id = current.number
         if hot_queries is None:
             hot_queries = current.hot_queries
         else:
@@ -818,14 +841,13 @@ class SuggestWorkerPool:
             multibipartite,
             epoch_id=epoch_id,
             prefix=self._prefix,
-            hot_table=hot_table,
         )
         return replace(
             current,
             graph=store,
             multibipartite=multibipartite,
-            hot=_verified_hot_table(store, hot_table),
             hot_queries=hot_queries,
+            memo=_AnswerMemo(self._memo_size, hot_table),
         )
 
     def _with_profiles(
@@ -898,7 +920,7 @@ class SuggestWorkerPool:
     @property
     def generation(self) -> int:
         """Current generation (bumped by each publish)."""
-        return self._generation
+        return self._current.number
 
     @property
     def segment_name(self) -> str:
@@ -929,13 +951,12 @@ class SuggestWorkerPool:
 
     @property
     def hot_entries(self) -> int:
-        """Entries in the current generation's hot table (0 = tier off)."""
-        hot = self._current.hot
-        return len(hot) if hot is not None else 0
+        """Entries in the current generation's answer memo."""
+        return len(self._current.memo)
 
     @property
     def hot_hits(self) -> int:
-        """Requests answered O(1) from the hot table since startup."""
+        """Requests answered from the parent's answer memo since startup."""
         return self._hot_hits_total
 
     @property
@@ -1002,8 +1023,8 @@ class SuggestWorkerPool:
 
         Mirrors the worker-side gate in ``PQSDA.suggest`` exactly
         (personalization on, profile plane attached, user profiled), so
-        the parent's hot tier only answers requests whose worker result
-        would equal the unpersonalized precomputed ranking.
+        the parent's answer memo only holds and answers requests whose
+        worker result is the unpersonalized ranking.
         """
         return (
             user_id is not None
@@ -1018,14 +1039,15 @@ class SuggestWorkerPool:
     ) -> list:
         """Suggestions for *requests*, in order (``suggest_batch`` semantics).
 
-        Context-free requests whose query sits in the hot table are
-        answered O(1) in this process; the rest are grouped by route and
-        sent as one envelope per worker (one reply envelope comes back
-        per batch).  Thread-safe and genuinely concurrent: overlapping
-        calls from different threads dispatch independently and each
-        waits only on its own batch — the reply-dispatcher thread
-        correlates envelopes by batch id, so one slow batch never stalls
-        another caller.
+        Context-free requests of anonymous or unprofiled users whose
+        query sits in the current generation's answer memo are answered
+        in this process; the rest are grouped by route and sent as one
+        envelope per worker (one reply envelope comes back per batch),
+        and their full-ranking replies fill the memo.  Thread-safe and
+        genuinely concurrent: overlapping calls from different threads
+        dispatch independently and each waits only on its own batch —
+        the reply-dispatcher thread correlates envelopes by batch id, so
+        one slow batch never stalls another caller.
 
         Error semantics: with the default ``return_errors=False`` a
         worker-side exception re-raises here with the worker traceback
@@ -1046,32 +1068,33 @@ class SuggestWorkerPool:
         self._m_requests.inc(len(requests))
         results: list = [None] * len(requests)
         current = self._current
-        hot = current.hot
+        memo = current.memo
+        full_k = self._config.diversify.k
         by_worker: dict[int, list[int]] = {}
+        fills: dict[int, str] = {}
         hot_hits = 0
         for position, request in enumerate(requests):
-            # The hot entry was precomputed without a context and
-            # without personalization; the ranking is k- and
+            # Without a context the ranking is k- and
             # timestamp-independent (timestamps only weight context
-            # records), so no-context hits of any k are exact —
-            # *except* for profiled users, whose worker-side ranking
-            # is Borda-fused with their preference scores.  A hot hit
-            # for them would silently drop the fusion, so profiled
-            # requests always take the worker path.  (Shed tiers don't
-            # gate hot hits: a hit is O(1) either way, and its full
-            # ranking's head equals — or beats — any degraded tier's.)
-            if (
-                hot is not None
-                and not request.context
-                and not self._personalizes(
-                    request.user_id, current.profiled_users
-                )
+            # records), so memo hits of any k are exact — *except* for
+            # profiled users, whose worker-side ranking is Borda-fused
+            # with their preference scores; they always take the worker
+            # path.  (Shed tiers don't gate hits: a hit is cheaper than
+            # any tier, and its full ranking's head equals — or beats —
+            # any degraded tier's.)
+            if not request.context and not self._personalizes(
+                request.user_id, current.profiled_users
             ):
-                ranking = hot.lookup(normalize_query(request.query))
+                normalized = normalize_query(request.query)
+                ranking = memo.get(normalized)
                 if ranking is not None:
                     results[position] = ranking[: request.k]
                     hot_hits += 1
                     continue
+                # Only a full-service reply of at least diversify.k
+                # suggestions is the whole ranking.
+                if request.shed == 0 and request.k >= full_k:
+                    fills[position] = normalized
             by_worker.setdefault(
                 self._route(request.query), []
             ).append(position)
@@ -1113,10 +1136,15 @@ class SuggestWorkerPool:
                     # name instead of timing out anonymously.
                     self._check_workers_alive()
             for worker_id, positions in by_worker.items():
-                replies = pending.replies[worker_id]
+                computed_under, replies = pending.replies[worker_id]
+                # The straddle rule: a reply computed under another
+                # generation than the batch's is answered, never memoized.
+                fill = computed_under == current.number
                 for position, (result, error) in zip(positions, replies):
                     if error is None:
                         results[position] = result
+                        if fill and position in fills:
+                            memo.put(fills[position], list(result))
                     elif return_errors:
                         results[position] = SuggestError(worker_id, error)
                     else:
@@ -1172,8 +1200,9 @@ class SuggestWorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         with self._control_lock:
-            current = successor = self._current
-            generation = self._generation + 1
+            current = self._current
+            generation = current.number + 1
+            successor = replace(current, number=generation)
             try:
                 for step in steps:
                     successor = step(successor)
@@ -1197,7 +1226,6 @@ class SuggestWorkerPool:
             # superseded segments, so removing them is safe now and not a
             # moment before.
             self._current = successor
-            self._generation = generation
             _release(_fresh(current, successor))
             self._m_generations.inc()
             for info in acks.values():
@@ -1217,9 +1245,9 @@ class SuggestWorkerPool:
 
         Shares *expander*'s matrices as a fresh segment and moves every
         worker onto them through the one generation swap (workers flush
-        their compact caches).  The hot-query table is rebuilt against
-        the new plane — from *hot_queries* when given, else from the
-        pool's current head list — and swaps with it.
+        their compact caches).  The new generation's answer memo is
+        seeded from *hot_queries* when given, else from the pool's
+        current head list, precomputed against the new plane.
         """
         self._publish(
             partial(
@@ -1257,9 +1285,9 @@ class SuggestWorkerPool:
         (``epoch.profiles`` — see :class:`repro.stream.ingest.LogIngestor`)
         move in **one** generation swap, so no request is ever ranked
         against the new graph with the old profiles.  With ``hot_top``
-        configured, the head list is re-extracted from the epoch's
-        cumulative log (traffic drifts; yesterday's head is not today's)
-        before the table is rebuilt.
+        configured, the head list that seeds the new answer memo is
+        re-extracted from the epoch's cumulative log (traffic drifts;
+        yesterday's head is not today's).
         """
         hot_queries = None
         if self._hot_top > 0:
@@ -1326,11 +1354,11 @@ class SuggestWorkerPool:
         current = self._current
         return PoolStats(
             n_workers=self._n_workers,
-            generation=self._generation,
+            generation=current.number,
             epoch_id=current.graph.meta.epoch_id,
             segment_bytes=current.graph.total_bytes,
             workers=workers,
-            hot_entries=self.hot_entries,
+            hot_entries=len(current.memo),
             hot_hits=self._hot_hits_total,
             profile_users=len(current.profiled_users),
             profile_generation=current.profile_generation,

@@ -14,14 +14,10 @@ against one representation generation:
   reconstructs the row ordering and the query -> ordinal index;
 * optionally the query-term adjacency in both directions plus the term
   vocabulary, which powers the unseen-query term backoff without shipping
-  the Python-dict :class:`~repro.graphs.bipartite.Bipartite`;
-* optionally a precomputed **hot-query table** (:class:`SharedHotTable`):
-  a hash-sorted ``query -> k suggestions`` mapping for the head of the
-  traffic distribution, packed as a 64-bit hash array, the hot query
-  strings (for exact-match collision rejection), per-entry offsets into a
-  suggestion-id array, and one deduplicated suggestion-string blob.  The
-  pool's parent answers hot hits O(1) from this table without touching a
-  worker queue.
+  the Python-dict :class:`~repro.graphs.bipartite.Bipartite`.
+
+Only what workers read goes in the segment: the pool's memoized head
+rankings live in the parent (see :mod:`repro.serve.pool`).
 
 Workers call :func:`attach` and get an :class:`AttachedPlane`: read-only
 numpy views over the segment, wrapped into ``csr_matrix`` objects via the
@@ -46,10 +42,9 @@ unlink the still-published segment when they exit (see
 from __future__ import annotations
 
 import gc
-import hashlib
 import os
 import secrets
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
@@ -68,13 +63,11 @@ from repro.utils.text import normalize_query
 
 __all__ = [
     "AttachedPlane",
-    "SharedHotTable",
     "SharedMatrixStore",
     "SharedPlaneMeta",
     "SharedRepresentation",
     "SharedTermBipartite",
     "attach",
-    "hot_hash",
 ]
 
 #: Offset alignment of every array in the segment (covers float64/int64).
@@ -121,17 +114,6 @@ class SharedPlaneMeta:
         """Whether the term-backoff adjacency was published."""
         return "terms.blob" in self.arrays
 
-    @property
-    def has_hot_table(self) -> bool:
-        """Whether a precomputed hot-query table was published."""
-        return "hot.hashes" in self.arrays
-
-    @property
-    def n_hot(self) -> int:
-        """Hot-table entry count (0 when no table was published)."""
-        spec = self.arrays.get("hot.hashes")
-        return int(spec.shape[0]) if spec is not None else 0
-
 
 def _encode_vocab(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(uint8 blob, int64 offsets) encoding of a string list."""
@@ -140,126 +122,6 @@ def _encode_vocab(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum([len(b) for b in encoded], out=offsets[1:])
     blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
     return blob, offsets
-
-
-def hot_hash(normalized_query: str) -> int:
-    """Stable 64-bit hash keying the shared hot-query table.
-
-    ``blake2b`` (unsalted, 8-byte digest) is process- and run-stable —
-    unlike builtin ``hash`` — so the parent can binary-search a table any
-    publisher packed.  Collisions are tolerated, not assumed away: the
-    table stores the hot query strings and lookups reject hash matches
-    whose string differs.
-    """
-    digest = hashlib.blake2b(
-        normalized_query.encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _hot_table_arrays(
-    hot_table: Mapping[str, Sequence[str]],
-) -> dict[str, np.ndarray]:
-    """Pack a ``query -> suggestions`` mapping into segment arrays.
-
-    Entries are sorted by (hash, query) so lookups binary-search the hash
-    array; suggestion strings are deduplicated into one vocabulary blob
-    with per-entry id runs.
-    """
-    entries = sorted(
-        hot_table.items(), key=lambda item: (hot_hash(item[0]), item[0])
-    )
-    string_index: dict[str, int] = {}
-    sugg_ids: list[int] = []
-    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    for row, (_, suggestions) in enumerate(entries):
-        for suggestion in suggestions:
-            ordinal = string_index.setdefault(suggestion, len(string_index))
-            sugg_ids.append(ordinal)
-        offsets[row + 1] = len(sugg_ids)
-    query_blob, query_offsets = _encode_vocab([q for q, _ in entries])
-    string_blob, string_offsets = _encode_vocab(list(string_index))
-    return {
-        "hot.hashes": np.asarray(
-            [hot_hash(query) for query, _ in entries], dtype=np.uint64
-        ),
-        "hot.queries.blob": query_blob,
-        "hot.queries.offsets": query_offsets,
-        "hot.sugg.offsets": offsets,
-        "hot.sugg.ids": np.asarray(sugg_ids, dtype=np.int64),
-        "hot.strings.blob": string_blob,
-        "hot.strings.offsets": string_offsets,
-    }
-
-
-class SharedHotTable:
-    """O(1) read-only lookup over the packed hot-query table.
-
-    Keys are normalized queries; a hit returns the precomputed full
-    diversified ranking (serve ``k`` suggestions as ``ranking[:k]`` —
-    the ranking never depends on the request's ``k``).  Lookups hash the
-    query, binary-search the sorted hash array, and verify the stored
-    query string, so a hash collision degrades to a miss for the other
-    query rather than a wrong answer.
-    """
-
-    def __init__(
-        self,
-        hashes: np.ndarray,
-        queries: list[str],
-        sugg_offsets: np.ndarray,
-        sugg_ids: np.ndarray,
-        strings: list[str],
-    ) -> None:
-        self._hashes = hashes
-        self._queries = queries
-        self._sugg_offsets = sugg_offsets
-        self._sugg_ids = sugg_ids
-        self._strings = strings
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    @property
-    def queries(self) -> list[str]:
-        """The hot queries, in table (hash-sorted) order."""
-        return list(self._queries)
-
-    def lookup(self, normalized_query: str) -> list[str] | None:
-        """The precomputed ranking for *normalized_query*, or ``None``."""
-        key = np.uint64(hot_hash(normalized_query))
-        lo = int(np.searchsorted(self._hashes, key, side="left"))
-        hi = int(np.searchsorted(self._hashes, key, side="right"))
-        for row in range(lo, hi):
-            if self._queries[row] == normalized_query:
-                start = int(self._sugg_offsets[row])
-                stop = int(self._sugg_offsets[row + 1])
-                return [
-                    self._strings[int(ordinal)]
-                    for ordinal in self._sugg_ids[start:stop]
-                ]
-        return None
-
-    def as_dict(self) -> dict[str, list[str]]:
-        """The whole table as ``{query: ranking}`` (table order)."""
-        return {
-            query: self.lookup(query) for query in self._queries
-        }
-
-    @classmethod
-    def _from_views(cls, view) -> "SharedHotTable":
-        """Build over segment arrays fetched through *view(name)*."""
-        return cls(
-            view("hot.hashes"),
-            _decode_vocab(
-                view("hot.queries.blob"), view("hot.queries.offsets")
-            ),
-            view("hot.sugg.offsets"),
-            view("hot.sugg.ids"),
-            _decode_vocab(
-                view("hot.strings.blob"), view("hot.strings.offsets")
-            ),
-        )
 
 
 def _decode_vocab(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
@@ -414,17 +276,14 @@ class SharedMatrixStore:
         multibipartite=None,
         epoch_id: int = 0,
         prefix: str = "pqsda",
-        hot_table: Mapping[str, Sequence[str]] | None = None,
     ) -> "SharedMatrixStore":
         """Copy one generation's serving plane into a fresh segment.
 
         *expander* supplies the factored walk stacks (built from
         *matrices* when omitted); *multibipartite* supplies the query-term
         adjacency for the unseen-query backoff (omitted = attached planes
-        serve with the backoff unavailable); *hot_table* maps head queries
-        to their precomputed diversified rankings (omitted or empty = no
-        hot tier in this generation).  The segment name embeds the pid, a
-        random token and *epoch_id*, so concurrent publishers (and
+        serve with the backoff unavailable).  The segment name embeds the
+        pid, a random token and *epoch_id*, so concurrent publishers (and
         generations) never collide.
         """
         if matrices.gram is None:
@@ -469,9 +328,6 @@ class SharedMatrixStore:
             plan.append(("terms.offsets", term_offsets))
             plan.extend(term_arrays.items())
 
-        if hot_table:
-            plan.extend(_hot_table_arrays(hot_table).items())
-
         segment, specs, total = _pack_segment(plan, prefix, epoch_id)
         meta = SharedPlaneMeta(
             segment=segment.name,
@@ -499,35 +355,6 @@ class SharedMatrixStore:
     def total_bytes(self) -> int:
         """Bytes held by the segment (counted once however many attach)."""
         return self._meta.total_bytes
-
-    def hot_table(self) -> SharedHotTable | None:
-        """The packed hot-query table read from this store's own mapping.
-
-        This is the publisher-side handle the pool parent serves hot hits
-        from.  The index arrays are *snapshots* (a few KB), not views, so
-        the handle never pins the segment buffer — the parent can keep
-        answering from a superseded generation's table for the instant it
-        takes to swap references while the old segment is being closed.
-        Workers attach the same bytes zero-copy via :class:`AttachedPlane`.
-        ``None`` when the generation was published without a table.
-        """
-        if not self._meta.has_hot_table:
-            return None
-        meta = self._meta
-        segment = self._segment
-
-        def snapshot(name: str) -> np.ndarray:
-            spec = meta.arrays[name]
-            return np.array(
-                np.ndarray(
-                    spec.shape,
-                    dtype=spec.dtype,
-                    buffer=segment.buf,
-                    offset=spec.offset,
-                )
-            )
-
-        return SharedHotTable._from_views(snapshot)
 
     def unlink(self) -> None:
         """Remove the segment from the system (idempotent)."""
@@ -659,8 +486,6 @@ class AttachedPlane:
         expander: Walk expander over ``matrices`` with the published
             stacks attached (views as well).
         representation: The :class:`SharedRepresentation` handle.
-        hot_table: :class:`SharedHotTable` over the segment's packed
-            hot-query arrays (``None`` when none was published).
     """
 
     def __init__(self, meta: SharedPlaneMeta, untrack: bool = False) -> None:
@@ -720,9 +545,6 @@ class AttachedPlane:
                     view("termidx.tq.data"),
                 ),
             )
-        self.hot_table = (
-            SharedHotTable._from_views(view) if meta.has_hot_table else None
-        )
         self.representation = SharedRepresentation(
             queries=queries,
             query_index=query_index,
@@ -770,7 +592,6 @@ class AttachedPlane:
         self.matrices = None
         self.expander = None
         self.representation = None
-        self.hot_table = None
         _close_attached(self._segment)
 
 

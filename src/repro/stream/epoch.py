@@ -72,8 +72,8 @@ class Epoch:
         """The *n* hottest normalized queries of this epoch's log.
 
         Frequencies come from the cumulative log snapshot, so the head
-        tracks traffic drift epoch over epoch — this feeds the scale-out
-        pool's hot-query table refresh
+        tracks traffic drift epoch over epoch — this seeds the scale-out
+        pool's answer memo at each epoch
         (:meth:`repro.serve.pool.SuggestWorkerPool.publish_epoch` with
         ``hot_top``).
         """

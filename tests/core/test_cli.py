@@ -331,7 +331,7 @@ class TestServe:
         assert code == 0
         out = capsys.readouterr().out
         assert "hot tier: 5 precomputed head queries" in out
-        assert "answered O(1) from the shared table" in out
+        assert "answered in the parent without a worker round trip" in out
 
     def test_personalize_serves_profiled_users(self, log_path, capsys):
         code = main(

@@ -269,7 +269,7 @@ class TestPoolRegressions:
         ) as pool:
             # Simulate a reply surfacing after its batch already timed out.
             pool._reply_queue.put(
-                ("bres", 999_999, 0, [(["bogus"], None)] * len(probes))
+                ("bres", 999_999, 0, 0, [(["bogus"], None)] * len(probes))
             )
             assert pool.suggest_many(probes) == expected
             assert pool.suggest_many(probes) == expected

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import PQSDA
 from repro.graphs.multibipartite import BIPARTITE_KINDS
-from repro.serve.shm import SharedMatrixStore, attach, hot_hash
+from repro.serve.shm import SharedMatrixStore, attach
 
 from tests.serve.conftest import SERVE_CONFIG
 
@@ -130,57 +130,6 @@ class TestSuggestParity:
             assert shared.suggest(query, k=8) == single_suggester.suggest(
                 query, k=8
             )
-        plane.close()
-
-
-class TestHotTable:
-    TABLE = {
-        "alpha beta": ["suggestion one", "suggestion two"],
-        "gamma": ["suggestion two", "shared string", "delta"],
-        "empty ranking": [],
-    }
-
-    @pytest.fixture()
-    def hot_store(self, multibipartite, expander):
-        store = SharedMatrixStore.publish(
-            expander.matrices,
-            expander,
-            multibipartite,
-            prefix="t-shm-hot",
-            hot_table=self.TABLE,
-        )
-        yield store
-        store.unlink()
-        store.close()
-
-    def test_meta_reports_table(self, hot_store, store):
-        assert hot_store.meta.has_hot_table
-        assert hot_store.meta.n_hot == len(self.TABLE)
-        assert not store.meta.has_hot_table
-        assert store.meta.n_hot == 0
-
-    def test_publisher_side_round_trip(self, hot_store):
-        table = hot_store.hot_table()
-        assert table.as_dict() == self.TABLE
-        assert len(table) == len(self.TABLE)
-        assert table.lookup("never packed") is None
-
-    def test_attached_side_round_trip(self, hot_store):
-        plane = attach(hot_store.meta)
-        assert plane.hot_table is not None
-        assert plane.hot_table.as_dict() == self.TABLE
-        assert plane.hot_table.lookup("never packed") is None
-        plane.close()
-
-    def test_entries_sorted_by_stable_hash(self, hot_store):
-        table = hot_store.hot_table()
-        hashes = [hot_hash(query) for query in table.queries]
-        assert hashes == sorted(hashes)
-
-    def test_plane_without_table_has_none(self, store):
-        assert store.hot_table() is None
-        plane = attach(store.meta)
-        assert plane.hot_table is None
         plane.close()
 
 
