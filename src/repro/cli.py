@@ -90,29 +90,26 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the raw (non-cfiqf) representation")
     suggest.add_argument("--no-personalize", action="store_true",
                          help="skip UPM training (diversification only)")
-    suggest.add_argument("--compact-size", type=int, default=150)
-    suggest.add_argument("--topics", type=int, default=10)
+    suggest.add_argument("--compact-size", type=_count, default=150)
+    suggest.add_argument("--topics", type=_count, default=10)
     suggest.add_argument("--upm-engine", default="fast",
                          choices=("fast", "reference"),
                          help="UPM sampler implementation (bit-identical; "
                               "'reference' is the executable specification)")
-    suggest.add_argument("--upm-workers", type=int, default=1,
-                         help="document-parallel UPM training processes "
-                              "(fast engine only)")
     suggest.add_argument("--verbose", action="store_true",
                          help="print per-fit UPM training statistics")
     suggest.add_argument("--metrics-out", default=None, metavar="JSON",
                          help="attach a metrics registry to the whole "
                               "pipeline and write its snapshot here")
     suggest.add_argument("--seed", type=int, default=0)
-    suggest.add_argument("--max-records", type=int, default=None)
+    suggest.add_argument("--max-records", type=_count, default=None)
 
     stats = sub.add_parser(
         "stats",
         help="summarize an AOL-format log or render a metrics snapshot",
     )
     stats.add_argument("log", nargs="?", default=None, help="AOL TSV file")
-    stats.add_argument("--max-records", type=int, default=None)
+    stats.add_argument("--max-records", type=_count, default=None)
     stats.add_argument("--metrics", default=None, metavar="JSON",
                        help="render this --metrics-out snapshot instead of "
                             "summarizing a log")
@@ -128,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--models", nargs="+", default=list(MODEL_NAMES),
         choices=list(MODEL_NAMES),
     )
-    perplexity.add_argument("--topics", type=int, default=10)
-    perplexity.add_argument("--iterations", type=int, default=30)
+    perplexity.add_argument("--topics", type=_count, default=10)
+    perplexity.add_argument("--iterations", type=_count, default=30)
     perplexity.add_argument("--upm-engine", default="fast",
                             choices=("fast", "reference"),
                             help="UPM sampler implementation")
     perplexity.add_argument("--observed", type=float, default=0.7)
     perplexity.add_argument("--seed", type=int, default=0)
-    perplexity.add_argument("--max-records", type=int, default=None)
+    perplexity.add_argument("--max-records", type=_count, default=None)
 
     ingest = sub.add_parser(
         "ingest",
@@ -156,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query to suggest for before and after the "
                              "stream (default: most frequent bootstrap query)")
     ingest.add_argument("--k", type=_count, default=10)
-    ingest.add_argument("--compact-size", type=int, default=150)
+    ingest.add_argument("--compact-size", type=_count, default=150)
     ingest.add_argument("--metrics-out", default=None, metavar="JSON",
                         help="attach a metrics registry to the streaming "
                              "stack and write its snapshot here")
-    ingest.add_argument("--max-records", type=int, default=None)
+    ingest.add_argument("--max-records", type=_count, default=None)
 
     serve = sub.add_parser(
         "serve",
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rounds", type=_count, default=1,
                        help="times to replay the request set "
                             "(throughput measurement)")
-    serve.add_argument("--compact-size", type=int, default=150)
+    serve.add_argument("--compact-size", type=_count, default=150)
     serve.add_argument("--hot-top", type=int, default=0, metavar="N",
                        help="precompute the N most frequent log queries "
                             "at publish to seed the parent's answer memo, "
@@ -188,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "into the shared profile plane, and serve each "
                             "request as a profiled user (round-robin over "
                             "the store)")
-    serve.add_argument("--topics", type=int, default=5,
+    serve.add_argument("--topics", type=_count, default=5,
                        help="UPM topics when --personalize is set")
-    serve.add_argument("--upm-iterations", type=int, default=10,
+    serve.add_argument("--upm-iterations", type=_count, default=10,
                        help="UPM Gibbs sweeps when --personalize is set")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                        help="serve over HTTP instead of replaying a request "
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--metrics-out", default=None, metavar="JSON",
                        help="write the merged pool+worker metrics snapshot "
                             "here")
-    serve.add_argument("--max-records", type=int, default=None)
+    serve.add_argument("--max-records", type=_count, default=None)
 
     report = sub.add_parser(
         "report", help="run the full evaluation battery, print markdown"
@@ -255,9 +252,10 @@ def _load_cleaned(path: str, max_records: int | None):
     return cleaned
 
 
-def _make_registry(metrics_out: str | None):
-    """A live registry when *metrics_out* is set, else ``None``."""
-    if metrics_out is None:
+def _make_registry(wanted):
+    """A live registry when *wanted* (a ``--metrics-out`` path or a flag)
+    is set, else ``None``."""
+    if not wanted:
         return None
     from repro.obs.registry import MetricsRegistry
 
@@ -273,18 +271,33 @@ def _write_metrics(registry, metrics_out: str | None) -> None:
     print(f"wrote metrics snapshot to {metrics_out}", file=sys.stderr)
 
 
+def _print_upm_fit(registry, engine: str) -> None:
+    """The ``--verbose`` UPM fit lines, read from the ``upm.*`` metrics."""
+    metrics = {
+        entry["name"]: entry for entry in registry.snapshot()["metrics"]
+    }
+    sweep_seconds = metrics["upm.sweep.seconds"]
+    print(
+        f"UPM fit: engine={engine} {metrics['upm.sweeps']['value']} sweeps "
+        f"in {metrics['upm.fit.seconds']['sum']:.2f}s "
+        f"({sweep_seconds['sum'] / sweep_seconds['count'] * 1000:.1f} "
+        "ms/sweep sampling)",
+        file=sys.stderr,
+    )
+    print(
+        "UPM fit: final pseudo-log-likelihood "
+        f"{metrics['upm.sweep.log_likelihood']['value']:.1f}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_suggest(args: argparse.Namespace) -> int:
-    try:
-        upm = UPMConfig(
-            n_topics=args.topics,
-            iterations=30,
-            engine=args.upm_engine,
-            n_workers=args.upm_workers,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    upm = UPMConfig(
+        n_topics=args.topics,
+        iterations=30,
+        engine=args.upm_engine,
+        seed=args.seed,
+    )
     cleaned = _load_cleaned(args.log, args.max_records)
     if len(cleaned) == 0:
         print("error: log is empty after cleaning", file=sys.stderr)
@@ -296,21 +309,10 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         upm=upm,
         personalize=not args.no_personalize,
     )
-    registry = _make_registry(args.metrics_out)
+    registry = _make_registry(args.metrics_out or args.verbose)
     suggester = PQSDA.build(cleaned, config=config, registry=registry)
     if args.verbose and suggester.profiles is not None:
-        stats = suggester.profiles.model.fit_stats
-        lls = stats.sweep_log_likelihood
-        print(
-            f"UPM fit: engine={stats.engine} workers={stats.n_workers} "
-            f"{stats.n_sweeps} sweeps in {stats.total_seconds:.2f}s "
-            f"({stats.mean_sweep_seconds * 1000:.1f} ms/sweep sampling)",
-            file=sys.stderr,
-        )
-        print(
-            f"UPM fit: pseudo-log-likelihood {lls[0]:.1f} -> {lls[-1]:.1f}",
-            file=sys.stderr,
-        )
+        _print_upm_fit(registry, upm.engine)
     requests = [
         SuggestRequest(query=query, k=args.k, user_id=args.user)
         for query in args.query

@@ -5,8 +5,9 @@ Offline (``PQSDA.build``):
 1. sessionize the log (unless ground-truth sessions are supplied);
 2. build the (cfiqf-weighted) multi-bipartite representation and cache the
    full-graph walk matrices;
-3. fit the UPM on per-user session documents and materialize the profile
-   store.
+3. fit the UPM on per-user session documents and pack its profiles into
+   the :class:`~repro.personalize.profiles.ArrayProfileStore` every
+   serving path scores through.
 
 Online (``suggest`` / ``suggest_batch``):
 
@@ -50,7 +51,7 @@ from repro.logs.schema import QueryRecord, Session
 from repro.logs.sessionizer import sessionize
 from repro.logs.storage import QueryLog
 from repro.personalize.borda import personalize_ranking
-from repro.personalize.profiles import ArrayProfileStore, UserProfileStore
+from repro.personalize.profiles import ArrayProfileStore, ProfileArrays
 from repro.personalize.upm import UPM
 from repro.topicmodels.corpus import build_corpus
 from repro.utils.text import jaccard, normalize_query, tokenize
@@ -96,7 +97,7 @@ class PQSDA(Suggester):
         self,
         multibipartite: MultiBipartite,
         expander: RandomWalkExpander,
-        profiles: UserProfileStore | ArrayProfileStore | None,
+        profiles: ArrayProfileStore | None,
         config: PQSDAConfig,
     ) -> None:
         self._multibipartite = multibipartite
@@ -147,7 +148,7 @@ class PQSDA(Suggester):
             )
         if expander is None:
             expander = RandomWalkExpander(multibipartite)
-        profiles: UserProfileStore | None = None
+        profiles: ArrayProfileStore | None = None
         if config.personalize:
             corpus = build_corpus(log, sessions)
             if corpus.n_documents > 0:
@@ -155,7 +156,7 @@ class PQSDA(Suggester):
                 if registry is not None:
                     model.attach_metrics(registry)
                 model.fit(corpus)
-                profiles = UserProfileStore(model)
+                profiles = ArrayProfileStore(ProfileArrays.from_model(model))
         instance = cls(multibipartite, expander, profiles, config)
         if registry is not None:
             instance.attach_metrics(registry)
@@ -179,7 +180,7 @@ class PQSDA(Suggester):
         return self._expander
 
     @property
-    def profiles(self) -> UserProfileStore | ArrayProfileStore | None:
+    def profiles(self) -> ArrayProfileStore | None:
         """The UPM profile store (None when personalization is disabled)."""
         return self._profiles
 
@@ -260,9 +261,7 @@ class PQSDA(Suggester):
         self._expander = expander
         self._cache.rebind(expander)
 
-    def rebind_profiles(
-        self, profiles: UserProfileStore | ArrayProfileStore | None
-    ) -> None:
+    def rebind_profiles(self, profiles: ArrayProfileStore | None) -> None:
         """Swap the profile store in place (a profile-generation swap).
 
         Future requests rerank against *profiles*; in-flight requests

@@ -5,8 +5,10 @@ collapsed-Gibbs topic model over per-user documents whose topic unit is the
 search session; it jointly models query words, clicked URLs and
 Beta-distributed timestamps, and learns asymmetric hyperparameters so each
 user's idiosyncratic word/URL usage is captured.  Online, a candidate's
-preference score ``P(q|d)`` (Eq. 31) yields a personal ranking which is
-fused with the diversification ranking via Borda's method
+preference score ``P(q|d)`` (Eq. 31), scored by
+:class:`~repro.personalize.profiles.ArrayProfileStore` over the fitted
+model's packed profile arrays, yields a personal ranking which is fused
+with the diversification ranking via Borda's method
 (:mod:`repro.personalize.borda`).
 """
 
@@ -20,7 +22,6 @@ from repro.personalize.profiles import (
     ArrayProfileStore,
     ProfileArrays,
     UserProfile,
-    UserProfileStore,
 )
 from repro.personalize.upm import UPM, UPMConfig, UPMFitStats, fit_beta_moments
 
@@ -31,7 +32,6 @@ __all__ = [
     "ArrayProfileStore",
     "ProfileArrays",
     "UserProfile",
-    "UserProfileStore",
     "fit_beta_moments",
     "dirichlet_log_likelihood",
     "optimize_dirichlet_fixed_point",

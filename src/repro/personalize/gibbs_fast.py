@@ -1,4 +1,4 @@
-"""Step-batched, process-parallel Gibbs kernel behind ``UPM.fit`` (fast engine).
+"""Step-batched Gibbs kernel behind ``UPM.fit`` (fast engine).
 
 The reference sampler (``UPM._session_log_prob`` / ``UPM._sweep_document``)
 is the specification: it walks the sessions of one document after another,
@@ -9,10 +9,11 @@ for *many sessions per numpy call* while remaining **bit-identical**.
 
 **Step batching.**  Between hyperparameter barriers, documents couple
 only through the frozen ``α``/``β``/``δ``/``τ``, and every ``(document,
-sweep)`` pair draws from its own stream (:func:`doc_rng`).  Resampling
-session *s* of one document reads and writes only that document's counts
-and must only follow sessions ``0..s-1`` of the same document, so a sweep
-is a sequence of *steps*: step *s* resamples the *s*-th session of every
+sweep)`` pair draws from its own stream (:func:`doc_rng`), which the
+reference engine consumes session by session.  Resampling session *s* of
+one document reads and writes only that document's counts and must only
+follow sessions ``0..s-1`` of the same document, so a sweep is a
+sequence of *steps*: step *s* resamples the *s*-th session of every
 document that has one, all at once.  A corpus whose longest history has
 ``S`` sessions needs ``S`` steps per sweep, whatever its number of
 sessions.  Per step:
@@ -51,18 +52,6 @@ The rest of the bit-identity contract (enforced by ``tests/personalize/``):
 3. ``β``/``δ`` row sums and column gathers and the Beta-time log density
    are cached per step and refreshed only at hyperparameter barriers — the
    only points where they can change.
-
-**Process parallelism.**  The paper notes the UPM "can take advantage of
-parallel Gibbs sampling paradigms [31]" (AD-LDA-style document
-partitioning).  For the UPM the partition is *exact*, not an
-approximation: all cross-document coupling flows through ``α``/``β``/
-``δ``/``τ``, which are frozen between hyperopt barriers.  Workers run the
-same step-batched kernel over disjoint document shards for a whole
-barrier-to-barrier segment with no communication, and the master writes
-their tables back (in canonical document order) before optimizing
-hyperparameters.  The module-level worker entrypoints are spawn-safe; the
-fork start method is preferred when the platform offers it because it
-shares the read-only corpus with workers for free.
 """
 
 from __future__ import annotations
@@ -78,9 +67,8 @@ from repro.topicmodels.corpus import SessionCorpus
 __all__ = [
     "TIME_EPS",
     "doc_rng",
-    "barrier_segments",
     "FastKernel",
-    "ShardState",
+    "SamplerState",
 ]
 
 #: Session timestamps are clipped into [TIME_EPS, 1 - TIME_EPS] before the
@@ -92,50 +80,29 @@ def doc_rng(seed: int, sweep: int, d: int) -> np.random.Generator:
     """The per-``(document, sweep)`` RNG stream of document *d*.
 
     Documents only interact through the hyperparameters, which are frozen
-    within a sweep — deriving independent streams per document makes
-    document-parallel sampling *bit-identical* to the serial run for any
-    worker count, in either engine.
+    within a sweep, so each document's uniforms may come from its own
+    stream: the reference engine draws them one session at a time, and
+    the step-batched kernel draws the same ``S_d`` values up front — both
+    engines resample with identical uniforms.
     """
     return np.random.default_rng(np.random.SeedSequence([seed, sweep, d]))
 
 
-def barrier_segments(
-    iterations: int, hyperopt_every: int
-) -> list[tuple[int, int]]:
-    """Split sweeps ``1..iterations`` at hyperparameter barriers.
-
-    Returns inclusive ``(start, stop)`` ranges such that every multiple of
-    *hyperopt_every* ends a segment; between barriers no cross-document
-    state changes, so each segment can run fully in parallel.
-    """
-    if not hyperopt_every:
-        return [(1, iterations)]
-    segments: list[tuple[int, int]] = []
-    start = 1
-    while start <= iterations:
-        stop = min(iterations, ((start - 1) // hyperopt_every + 1)
-                   * hyperopt_every)
-        segments.append((start, stop))
-        start = stop + 1
-    return segments
-
-
 @dataclass
-class ShardState:
-    """Mutable sampler state of one document shard (rows in shard order).
+class SamplerState:
+    """The mutable sampler state the kernel updates in place.
 
-    This is the unit shipped between master and worker processes at
-    segment boundaries: everything a worker needs beyond the read-only
-    corpus and the frozen hyperparameters.  The count tables are flat:
-    the shard's documents' local vocabularies side by side, in shard order.
+    Everything a sweep writes beyond the read-only corpus and the frozen
+    hyperparameters.  The count tables are flat: every document's local
+    vocabulary side by side, in document order.
     """
 
-    doc_topic: np.ndarray  # (n_docs, K)
-    word_totals: np.ndarray  # (n_docs, K)
-    url_totals: np.ndarray  # (n_docs, K)
+    doc_topic: np.ndarray  # (D, K)
+    word_totals: np.ndarray  # (D, K)
+    url_totals: np.ndarray  # (D, K)
     word_counts: np.ndarray  # (K, ΣW_d)
     url_counts: np.ndarray  # (K, ΣU_d)
-    assignments: np.ndarray  # (ΣS_d,) int, sessions in shard order
+    assignments: np.ndarray  # (ΣS_d,) int, sessions in document order
 
 
 class _Tokens:
@@ -143,7 +110,7 @@ class _Tokens:
 
     def __init__(self) -> None:
         self.session: list[int] = []  # flat session index of each token
-        self.col: list[int] = []  # column in the shard's flat table
+        self.col: list[int] = []  # column in the flat count table
         self.gid: list[int] = []  # global id (hyperparameter column)
         self.count: list[int] = []  # multiplicity within the session
         self.rank: list[int] = []  # first-occurrence rank within the session
@@ -177,10 +144,10 @@ class _Channel:
     """One step's tokens of one channel (words or URLs).
 
     ``rows`` are the step's sessions that carry the channel (indices into
-    the step's active rows) and ``doc_rows`` their documents' shard
-    positions; ``tok_row`` maps each token to its session's active row,
-    ``pos`` to its chain row, and ``total_pos`` places each session's
-    totals term after its own tokens.
+    the step's active rows) and ``doc_rows`` their documents; ``tok_row``
+    maps each token to its session's active row, ``pos`` to its chain
+    row, and ``total_pos`` places each session's totals term after its
+    own tokens.
     """
 
     __slots__ = (
@@ -214,7 +181,7 @@ class _Step:
 
 
 class FastKernel:
-    """Step-batched Gibbs sweeps over one shard of documents.
+    """Step-batched Gibbs sweeps over every document of a corpus.
 
     The kernel binds *references* to the sampler state (it mutates the
     arrays in place) and caches every quantity that is constant between
@@ -222,20 +189,19 @@ class FastKernel:
     every barrier to refresh the caches.
     """
 
-    def __init__(self, corpus: SessionCorpus, config, doc_ids) -> None:
+    def __init__(self, corpus: SessionCorpus, config) -> None:
         self._seed = config.seed
         self._K = config.n_topics
         self._use_time = config.use_time
         self._use_urls = config.use_urls
-        self._doc_ids = list(doc_ids)
-        docs = [corpus.documents[d] for d in self._doc_ids]
+        docs = corpus.documents
         self._n_sessions = [len(doc.sessions) for doc in docs]
         n_sessions = np.asarray(self._n_sessions, dtype=np.intp)
         offsets = np.zeros(len(docs) + 1, dtype=np.intp)
         np.cumsum(n_sessions, out=offsets[1:])
 
         # Flat token structure in (document, session, rank) order; columns
-        # index the shard's flat tables (local vocabularies side by side).
+        # index the flat tables (local vocabularies side by side).
         words, urls = _Tokens(), _Tokens()
         log_t: list[float] = []
         log1m_t: list[float] = []
@@ -317,7 +283,7 @@ class FastKernel:
 
     # -- state + hyperparameter binding ----------------------------------------------
 
-    def bind_state(self, state: ShardState) -> None:
+    def bind_state(self, state: SamplerState) -> None:
         """Attach the mutable sampler state (mutated in place)."""
         self._state = state
 
@@ -352,7 +318,7 @@ class FastKernel:
     # -- sweeps ----------------------------------------------------------------------
 
     def sweep(self, sweep_index: int) -> np.ndarray:
-        """One Gibbs sweep over the shard; returns per-document pseudo-LL.
+        """One Gibbs sweep over the corpus; returns per-document pseudo-LL.
 
         A document's pseudo-log-likelihood is the summed log posterior
         probability of its drawn assignments, a free byproduct of the
@@ -361,10 +327,10 @@ class FastKernel:
         draws = np.concatenate(
             [
                 doc_rng(self._seed, sweep_index, d).random(n)
-                for d, n in zip(self._doc_ids, self._n_sessions)
+                for d, n in enumerate(self._n_sessions)
             ]
         )
-        log_likelihood = np.zeros(len(self._doc_ids))
+        log_likelihood = np.zeros(len(self._n_sessions))
         for step in self._steps:
             self._resample_step(step, draws, log_likelihood)
         return log_likelihood
@@ -449,49 +415,3 @@ def _group_by_step(
     """Stable order grouping tokens by step, with each group's bounds."""
     order = np.argsort(steps, kind="stable")
     return order, np.searchsorted(steps[order], np.arange(n_steps + 1))
-
-
-# -- process-worker entrypoints (spawn-safe: module level, no closures) --------------
-
-_WORKER: dict = {}
-
-
-def init_worker(corpus: SessionCorpus, config) -> None:
-    """Process-pool initializer: pin the read-only corpus and config."""
-    _WORKER["corpus"] = corpus
-    _WORKER["config"] = config
-    _WORKER["kernels"] = {}
-
-
-def run_shard_segment(
-    doc_ids: tuple,
-    state: ShardState,
-    hyperparameters: tuple,
-    sweep_start: int,
-    sweep_stop: int,
-):
-    """Run sweeps ``sweep_start..sweep_stop`` over one document shard.
-
-    Returns ``(state, log_likelihoods, seconds)`` where *log_likelihoods*
-    is ``(n_sweeps, n_docs)`` in shard order and *seconds* the per-sweep
-    wall clock of this shard.  The kernel (per-step precompute) is cached
-    across segments in the worker process; only the mutable state and the
-    refreshed hyperparameters travel.
-    """
-    from time import perf_counter
-
-    kernels = _WORKER["kernels"]
-    kernel = kernels.get(doc_ids)
-    if kernel is None:
-        kernel = FastKernel(_WORKER["corpus"], _WORKER["config"], doc_ids)
-        kernels[doc_ids] = kernel
-    kernel.bind_state(state)
-    kernel.set_hyperparameters(*hyperparameters)
-    n_sweeps = sweep_stop - sweep_start + 1
-    log_likelihoods = np.empty((n_sweeps, len(doc_ids)))
-    seconds = np.empty(n_sweeps)
-    for i, sweep in enumerate(range(sweep_start, sweep_stop + 1)):
-        start = perf_counter()
-        log_likelihoods[i] = kernel.sweep(sweep)
-        seconds[i] = perf_counter() - start
-    return state, log_likelihoods, seconds

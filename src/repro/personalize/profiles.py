@@ -1,14 +1,15 @@
 """User profiles and the online preference-scoring store (paper Sec. V-B).
 
-:class:`UserProfileStore` is the serving-side view of a fitted UPM: compact
-per-user topic vectors plus the scoring needed to rank suggestion
-candidates.  Profiles are plain data (the paper stresses they are "concise
-enough for offline storage"), so the store can also be built from persisted
-vectors without the model object — :class:`ProfileArrays` is that persisted
-form (flat numpy arrays), and :class:`ArrayProfileStore` scores straight
-over it, **bit-identically** to the model-backed store.  The arrays are
-exactly what :class:`repro.serve.profile_plane.SharedProfileStore` packs
-into a shared-memory segment, so pool workers rebuild the scorer zero-copy.
+Profiles are plain data (the paper stresses they are "concise enough for
+offline storage"): :meth:`ProfileArrays.from_model` packs a fitted UPM into
+flat numpy arrays — per-user topic vectors plus the per-user topic-word
+counts Eq. 31 needs — and :class:`ArrayProfileStore` scores suggestion
+candidates straight over them, **bit-identically** to
+:meth:`repro.personalize.upm.UPM.preference_score`.  It is the one store
+every serving path uses: ``PQSDA.build`` returns it, click feedback folds
+into new generations of it, and the arrays are exactly what
+:class:`repro.serve.profile_plane.SharedProfileStore` packs into a
+shared-memory segment, so pool workers rebuild the scorer zero-copy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.obs.registry import NULL_REGISTRY
-from repro.personalize.upm import UPM, _TWD_CACHE_SIZE
+from repro.personalize.upm import UPM
 from repro.utils.ranking import RankedList, ranks_from_scores
 from repro.utils.text import tokenize
 
@@ -28,8 +29,11 @@ __all__ = [
     "ArrayProfileStore",
     "ProfileArrays",
     "UserProfile",
-    "UserProfileStore",
 ]
+
+#: Bound on the number of per-document ``(K, W)`` topic-word tables a store
+#: memoizes (LRU beyond it).
+_TWD_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,47 @@ class ProfileArrays:
     tau: np.ndarray | None = None
     generation: int = 0
 
+    @classmethod
+    def from_model(cls, model: UPM) -> "ProfileArrays":
+        """Pack a fitted *model*'s serving state (generation 0).
+
+        The arrays reproduce :meth:`UPM.preference_score` bit for bit
+        through :class:`ArrayProfileStore`; the per-user Beta time
+        parameters are packed when the model trained the temporal channel.
+        """
+        corpus = model.corpus
+        users = tuple(doc.user_id for doc in corpus.documents)
+        D = corpus.n_documents
+        alpha_total = float(model.alpha.sum())
+        gid_blocks: list[np.ndarray] = []
+        count_blocks: list[np.ndarray] = []
+        indptr = np.zeros(D + 1, dtype=np.int64)
+        for d in range(D):
+            gids, counts = model.document_word_counts(d)
+            gid_blocks.append(gids)
+            count_blocks.append(counts)
+            indptr[d + 1] = indptr[d] + gids.size
+        tau = None
+        if model.config.use_time:
+            tau = np.stack([model.user_tau(user) for user in users])
+        return cls(
+            users=users,
+            theta=model.theta,
+            theta_weight=np.asarray(
+                [
+                    len(corpus.documents[d].sessions) + alpha_total
+                    for d in range(D)
+                ],
+                dtype=np.float64,
+            ),
+            beta=model.beta,
+            counts_indptr=indptr,
+            counts_gids=np.concatenate(gid_blocks),
+            counts=np.concatenate(count_blocks),
+            words=tuple(corpus.word_of_id),
+            tau=tau,
+        )
+
     @property
     def n_users(self) -> int:
         """Number of profiled users D."""
@@ -132,19 +177,18 @@ class ProfileArrays:
 class ArrayProfileStore:
     """Per-user preference scoring over :class:`ProfileArrays`.
 
-    Drop-in compatible with :class:`UserProfileStore` on the serving
-    surface (``in`` / ``len`` / ``user_ids`` / ``profile`` / ``score`` /
-    ``score_candidates`` / ``rank_candidates``) and **bit-identical** to
-    it: scoring replicates the exact floating-point op order of
+    The serving surface is ``in`` / ``len`` / ``user_ids`` / ``profile`` /
+    ``user_tau`` / ``score`` / ``score_candidates`` / ``rank_candidates``.
+    Scoring replicates the exact floating-point op order of
     :meth:`UPM.preference_score` (scatter the sparse counts dense, add
     ``β``, row-normalize, mix by ``θ_d``, mean over the query's word ids),
     so a pooled worker scoring from shared views produces the same bytes
-    as the single-process model-backed path.
+    as the model's Eq. 31 reference.
 
     The arrays may be read-only shared-memory views (the zero-copy attach
     path) or plain in-process arrays; user lookup binary-searches the
     sorted user-id list, and per-document topic-word tables are memoized
-    LRU exactly like the model's (bounded by the same constant).
+    LRU (at most ``512`` documents).
     """
 
     def __init__(self, arrays: ProfileArrays) -> None:
@@ -198,10 +242,6 @@ class ArrayProfileStore:
     def words(self) -> tuple[str, ...]:
         """Global word vocabulary in id order."""
         return self._words
-
-    def to_arrays(self) -> ProfileArrays:
-        """The packable form (alias of :attr:`arrays`)."""
-        return self._arrays
 
     def __contains__(self, user_id: str) -> bool:
         return self._doc_of(user_id) >= 0
@@ -446,118 +486,3 @@ class ArrayProfileStore:
             ),
         )
         return ArrayProfileStore(arrays)
-
-
-class UserProfileStore:
-    """Per-user preference scoring over suggestion candidates."""
-
-    def __init__(self, model: UPM) -> None:
-        self._model = model
-        self._profiles = {
-            doc.user_id: UserProfile(
-                user_id=doc.user_id,
-                theta=model.theta[i],
-            )
-            for i, doc in enumerate(model.corpus.documents)
-        }
-        # user_ids is on the serving path (pool startup packs it, stats
-        # report it); sort once instead of per property access.
-        self._sorted_ids = sorted(self._profiles)
-
-    @property
-    def model(self) -> UPM:
-        """The fitted UPM behind the store (e.g. for ``fit_stats``)."""
-        return self._model
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._profiles
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    @property
-    def user_ids(self) -> list[str]:
-        """All profiled users, sorted (cached at construction)."""
-        return list(self._sorted_ids)
-
-    def profile(self, user_id: str) -> UserProfile:
-        """The profile of *user_id*; raises ``KeyError`` if unknown."""
-        try:
-            return self._profiles[user_id]
-        except KeyError:
-            raise KeyError(f"no profile for user {user_id!r}") from None
-
-    def score(self, user_id: str, query: str) -> float:
-        """``P(q|d)`` for one candidate (0.0 for unprofiled users)."""
-        return self._model.preference_score(user_id, query)
-
-    def score_candidates(
-        self, user_id: str, candidates: list[str]
-    ) -> dict[str, float]:
-        """``P(q|d)`` for every candidate.
-
-        One batched model call: the user's predictive distribution is
-        built once and candidate tokenization is memoized within the call
-        (bit-identical to scoring each candidate separately).
-        """
-        return self._model.preference_scores(user_id, candidates)
-
-    def rank_candidates(
-        self, user_id: str, candidates: list[str]
-    ) -> RankedList[str]:
-        """Candidates sorted by descending personal preference."""
-        return ranks_from_scores(self.score_candidates(user_id, candidates))
-
-    def to_arrays(
-        self, include_tau: bool = True, generation: int = 0
-    ) -> ProfileArrays:
-        """Extract the packable serving state (see :class:`ProfileArrays`).
-
-        The arrays reproduce the model's scoring bit-for-bit through
-        :class:`ArrayProfileStore`; *include_tau* additionally packs the
-        per-user Beta time parameters when the model trained the temporal
-        channel.
-        """
-        model = self._model
-        corpus = model.corpus
-        users = tuple(doc.user_id for doc in corpus.documents)
-        D = corpus.n_documents
-        K = model.config.n_topics
-        alpha_total = float(model.alpha.sum())
-        gid_blocks: list[np.ndarray] = []
-        count_blocks: list[np.ndarray] = []
-        indptr = np.zeros(D + 1, dtype=np.int64)
-        for d in range(D):
-            gids, counts = model.document_word_counts(d)
-            gid_blocks.append(gids)
-            count_blocks.append(counts)
-            indptr[d + 1] = indptr[d] + gids.size
-        tau = None
-        if include_tau and model.config.use_time:
-            tau = np.stack([model.user_tau(user) for user in users])
-        return ProfileArrays(
-            users=users,
-            theta=model.theta,
-            theta_weight=np.asarray(
-                [
-                    len(corpus.documents[d].sessions) + alpha_total
-                    for d in range(D)
-                ],
-                dtype=np.float64,
-            ),
-            beta=model.beta,
-            counts_indptr=indptr,
-            counts_gids=(
-                np.concatenate(gid_blocks)
-                if gid_blocks
-                else np.zeros(0, dtype=np.int64)
-            ),
-            counts=(
-                np.concatenate(count_blocks)
-                if count_blocks
-                else np.zeros((0, K))
-            ),
-            words=tuple(corpus.word_of_id),
-            tau=tau,
-            generation=generation,
-        )

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from repro.baselines.base import Suggester
 from repro.logs.schema import QueryRecord
 from repro.personalize.borda import personalize_ranking
-from repro.personalize.profiles import UserProfileStore
+from repro.personalize.profiles import ArrayProfileStore
 
 __all__ = ["PersonalizedReranker"]
 
@@ -30,7 +30,7 @@ class PersonalizedReranker(Suggester):
     def __init__(
         self,
         base: Suggester,
-        store: UserProfileStore,
+        store: ArrayProfileStore,
         personalization_weight: float = 1.0,
     ) -> None:
         if personalization_weight < 0:

@@ -19,27 +19,30 @@ standard parameterization; we use ``t^{τ₁-1} (1-t)^{τ₂-1}`` with
 ``τ₁ = t̄(t̄(1-t̄)/s² - 1)`` and ``τ₂ = (1-t̄)(...)``, i.e. the standard
 method-of-moments Beta fit (same resolution as Topics-over-Time).
 
-**Engines.**  ``UPMConfig.engine`` selects how ``fit`` runs the sampler:
+**Engines.**  ``UPMConfig.engine`` selects how ``fit`` runs the sampler,
+always in one process:
 
 * ``"fast"`` (default) — the step-batched kernel of
   :mod:`repro.personalize.gibbs_fast`, which resamples the *s*-th session
-  of every document in one vectorized step; with ``n_workers > 1``
-  documents are sharded across *processes* (the document partition is
-  exact for the UPM, so this is true parallelism, not AD-LDA
-  approximation);
+  of every document in one vectorized step;
 * ``"reference"`` — the straightforward per-session implementation below,
-  kept as the executable specification; it always runs serially.
+  kept as the executable specification.
 
 Both engines share the per-``(document, sweep)`` RNG streams and every
 hyperparameter-optimization code path, and are **bit-identical**: exactly
-equal assignments, ``theta``, ``beta``, ``delta`` and ``tau`` for any
-fast-engine worker count (pinned by
+equal assignments, ``theta``, ``alpha``, ``beta``, ``delta``, ``tau`` and
+per-sweep pseudo-log-likelihood (pinned by
 ``tests/personalize/test_fast_engine.py``).
+
+Serving never scores through this class: ``ProfileArrays.from_model``
+packs a fitted model into the arrays that
+:class:`repro.personalize.profiles.ArrayProfileStore` scores, and
+:meth:`UPM.preference_score` stays as the Eq. 31 reference that store is
+tested against.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -52,11 +55,8 @@ from scipy.special import betaln, gammaln
 from repro.personalize.gibbs_fast import (
     TIME_EPS as _TIME_EPS,
     FastKernel,
-    ShardState,
-    barrier_segments,
+    SamplerState,
     doc_rng,
-    init_worker,
-    run_shard_segment,
 )
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.personalize.hyperopt import (
@@ -70,10 +70,6 @@ from repro.utils.text import tokenize
 __all__ = ["UPMConfig", "UPM", "UPMFitStats", "fit_beta_moments"]
 
 _MIN_TAU = 1.0
-
-#: Bound on the number of per-document ``(K, W)`` topic-word tables kept by
-#: the ``topic_word_distribution`` memo (LRU beyond it).
-_TWD_CACHE_SIZE = 512
 
 
 def fit_beta_moments(values: np.ndarray) -> tuple[float, float]:
@@ -119,12 +115,9 @@ class UPMConfig:
             ``"fixed_point"`` (Minka's iteration; much cheaper).
         use_urls: Include the URL channel (ablation knob).
         use_time: Include the timestamp channel (ablation knob).
-        engine: ``"fast"`` (vectorized kernel, process-parallel) or
+        engine: ``"fast"`` (step-batched vectorized kernel) or
             ``"reference"`` (the executable specification).  Both produce
             bit-identical fits.
-        n_workers: Document-parallel worker processes (fast engine only;
-            the reference engine rejects more than one).  Results are
-            identical to the serial run for any worker count.
         seed: RNG seed.
     """
 
@@ -138,7 +131,6 @@ class UPMConfig:
     use_urls: bool = True
     use_time: bool = True
     engine: str = "fast"
-    n_workers: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -160,13 +152,6 @@ class UPMConfig:
             raise ValueError(
                 f"engine must be 'reference' or 'fast', got {self.engine!r}"
             )
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.engine == "reference" and self.n_workers > 1:
-            raise ValueError(
-                "the reference engine runs serially; use engine='fast' "
-                f"for n_workers={self.n_workers}"
-            )
 
 
 @dataclass(frozen=True)
@@ -175,19 +160,16 @@ class UPMFitStats:
 
     Attributes:
         engine: Which sampler ran (``"reference"`` or ``"fast"``).
-        n_workers: Configured worker count.
         sweep_log_likelihood: Per-sweep Gibbs pseudo-log-likelihood — the
             summed log posterior probability of the drawn session topics,
             a free byproduct of the sweep.  Rises (noisily) as the chain
-            mixes; identical across engines and worker counts.
+            mixes; identical across engines.
         sweep_seconds: Per-sweep sampling wall clock (excluding the
-            hyperopt barriers; for process-parallel fits, the slowest
-            shard — the critical path).
+            hyperopt barriers).
         total_seconds: End-to-end ``fit`` wall clock including barriers.
     """
 
     engine: str
-    n_workers: int
     sweep_log_likelihood: tuple[float, ...]
     sweep_seconds: tuple[float, ...]
     total_seconds: float
@@ -220,7 +202,6 @@ class UPM:
         self.config = config if config is not None else UPMConfig()
         self._fitted = False
         self._fit_stats: UPMFitStats | None = None
-        self._twd_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._fit_registry = MetricsRegistry()
         self._s_ll = self._fit_registry.series("upm.sweep.log_likelihood")
         self._s_secs = self._fit_registry.series("upm.sweep.seconds")
@@ -251,8 +232,8 @@ class UPM:
     def fit_metrics(self) -> MetricsRegistry:
         """The last fit's internal registry (``upm.sweep.*`` series).
 
-        Replaces the ad-hoc per-engine list accumulators: all three engine
-        paths observe each sweep through :meth:`_observe_sweep`, and
+        Replaces the ad-hoc per-engine list accumulators: both engines
+        observe each sweep through :meth:`_observe_sweep`, and
         :class:`UPMFitStats` is assembled from these series.
         """
         return self._fit_registry
@@ -275,7 +256,6 @@ class UPM:
         config = self.config
         K = config.n_topics
         self._fitted = False
-        self._twd_cache = OrderedDict()
         self._corpus = corpus
         D, W, U = corpus.n_documents, corpus.n_words, corpus.n_urls
 
@@ -340,16 +320,12 @@ class UPM:
         self._s_ll = self._fit_registry.series("upm.sweep.log_likelihood")
         self._s_secs = self._fit_registry.series("upm.sweep.seconds")
         if config.engine == "fast":
-            if config.n_workers > 1 and D > 1:
-                self._fit_fast_parallel()
-            else:
-                self._fit_fast_serial()
+            self._fit_fast()
         else:
-            self._fit_reference_serial()
+            self._fit_reference()
         total_seconds = perf_counter() - start_time
         self._fit_stats = UPMFitStats(
             engine=config.engine,
-            n_workers=config.n_workers,
             sweep_log_likelihood=self._s_ll.values,
             sweep_seconds=self._s_secs.values,
             total_seconds=total_seconds,
@@ -372,8 +348,8 @@ class UPM:
 
     # -- reference engine ------------------------------------------------------------
 
-    def _fit_reference_serial(self) -> None:
-        """Serial per-session sweeps — the executable specification."""
+    def _fit_reference(self) -> None:
+        """Per-session sweeps — the executable specification."""
         config = self.config
         D = self._corpus.n_documents
         for sweep in range(1, config.iterations + 1):
@@ -386,13 +362,12 @@ class UPM:
 
     # -- fast engine -----------------------------------------------------------------
 
-    def _bound_kernel(self) -> FastKernel:
-        """A kernel over all documents bound directly to this model's state."""
-        kernel = FastKernel(
-            self._corpus, self.config, range(self._corpus.n_documents)
-        )
+    def _fit_fast(self) -> None:
+        """Step-batched sweeps (see ``gibbs_fast.FastKernel``)."""
+        config = self.config
+        kernel = FastKernel(self._corpus, config)
         kernel.bind_state(
-            ShardState(
+            SamplerState(
                 doc_topic=self._doc_topic,
                 word_totals=self._word_totals,
                 url_totals=self._url_totals,
@@ -404,12 +379,6 @@ class UPM:
         kernel.set_hyperparameters(
             self._alpha, self._beta, self._delta, self._tau
         )
-        return kernel
-
-    def _fit_fast_serial(self) -> None:
-        """Vectorized kernel, one process (see ``gibbs_fast.FastKernel``)."""
-        config = self.config
-        kernel = self._bound_kernel()
         for sweep in range(1, config.iterations + 1):
             start = perf_counter()
             per_doc = kernel.sweep(sweep)
@@ -419,86 +388,6 @@ class UPM:
                 kernel.set_hyperparameters(
                     self._alpha, self._beta, self._delta, self._tau
                 )
-
-    def _fit_fast_parallel(self) -> None:
-        """Process-based document sharding between hyperopt barriers.
-
-        Workers hold disjoint document shards and sample a whole
-        barrier-to-barrier segment without communication (the partition is
-        exact — see :mod:`repro.personalize.gibbs_fast`).  At each barrier
-        the master merges shard states in canonical document order, runs
-        the hyperparameter updates, and rebroadcasts.
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        config = self.config
-        D = self._corpus.n_documents
-        n_workers = min(config.n_workers, D)
-        shards = [
-            _ShardIndex(list(range(D))[i::n_workers], self)
-            for i in range(n_workers)
-        ]
-        segments = barrier_segments(config.iterations, config.hyperopt_every)
-        ll_rows = np.empty((config.iterations, D))
-        secs = np.zeros(config.iterations)
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=context,
-            initializer=init_worker,
-            initargs=(self._corpus, config),
-        ) as pool:
-            for sweep_start, sweep_stop in segments:
-                hyper = (self._alpha, self._beta, self._delta, self._tau)
-                futures = [
-                    (
-                        shard,
-                        pool.submit(
-                            run_shard_segment,
-                            tuple(shard.docs),
-                            self._extract_shard(shard),
-                            hyper,
-                            sweep_start,
-                            sweep_stop,
-                        ),
-                    )
-                    for shard in shards
-                ]
-                rows = slice(sweep_start - 1, sweep_stop)
-                for shard, future in futures:
-                    state, shard_lls, shard_secs = future.result()
-                    self._merge_shard(shard, state)
-                    ll_rows[rows, shard.docs] = shard_lls
-                    np.maximum(secs[rows], shard_secs, out=secs[rows])
-                for row in range(sweep_start - 1, sweep_stop):
-                    self._observe_sweep(
-                        float(ll_rows[row].sum()), float(secs[row])
-                    )
-                self._maybe_optimize(sweep_stop)
-
-    def _extract_shard(self, shard: "_ShardIndex") -> ShardState:
-        return ShardState(
-            doc_topic=self._doc_topic[shard.docs],
-            word_totals=self._word_totals[shard.docs],
-            url_totals=self._url_totals[shard.docs],
-            word_counts=self._word_table[:, shard.word_cols],
-            url_counts=self._url_table[:, shard.url_cols],
-            assignments=self._session_topic[shard.sessions],
-        )
-
-    def _merge_shard(self, shard: "_ShardIndex", state: ShardState) -> None:
-        """Write a shard's state back in place (the per-document views of
-        the flat tables stay valid)."""
-        self._doc_topic[shard.docs] = state.doc_topic
-        self._word_totals[shard.docs] = state.word_totals
-        self._url_totals[shard.docs] = state.url_totals
-        self._word_table[:, shard.word_cols] = state.word_counts
-        self._url_table[:, shard.url_cols] = state.url_counts
-        self._session_topic[shard.sessions] = state.assignments
 
     # -- reference sampler internals ---------------------------------------------------
 
@@ -691,17 +580,8 @@ class UPM:
         ``φ̂_kwd = (C_kwd + β_kw) / (C_k·d + Σ_w β_kw)`` — the document-
         specific word distributions of Algorithm 2 (``φ_kd``), reconstructed
         from counts and learned ``β``.
-
-        Memoized per document (LRU over the last ``512`` documents) so
-        serving-time scoring does not rebuild the dense table per query;
-        the cache is invalidated by ``fit``.  Treat the returned array as
-        read-only.
         """
         self._require_fitted()
-        cached = self._twd_cache.get(d)
-        if cached is not None:
-            self._twd_cache.move_to_end(d)
-            return cached
         W = self._corpus.n_words
         K = self.config.n_topics
         counts = np.zeros((K, W))
@@ -709,9 +589,6 @@ class UPM:
             counts[:, w] = self._word_counts[d][:, local]
         smoothed = counts + self._beta
         smoothed /= smoothed.sum(axis=1, keepdims=True)
-        self._twd_cache[d] = smoothed
-        if len(self._twd_cache) > _TWD_CACHE_SIZE:
-            self._twd_cache.popitem(last=False)
         return smoothed
 
     def predictive_word_distribution(self, d: int) -> np.ndarray:
@@ -811,38 +688,6 @@ class UPM:
         predictive = mixture @ self.topic_word_distribution(d)
         return float(np.mean(predictive[word_ids]))
 
-    def preference_scores(
-        self, user_id: str, queries: list[str], t_norm: float | None = None
-    ) -> dict[str, float]:
-        """Batched ``P(q | d)``: Eq. 31 over a candidate list.
-
-        Bit-identical to calling :meth:`preference_score` per query, but
-        the user's mixed predictive distribution is built once and query
-        tokenization is memoized within the call — the serving-path shape
-        (:meth:`repro.personalize.profiles.UserProfileStore.score_candidates`
-        scores a whole diversified candidate pool per request).
-        """
-        self._require_fitted()
-        if user_id not in self._corpus.doc_index:
-            return {query: 0.0 for query in queries}
-        d = self._corpus.doc_index[user_id]
-        if t_norm is None:
-            mixture = self.theta[d]
-        else:
-            mixture = self.profile_at(user_id, t_norm)
-        predictive = mixture @ self.topic_word_distribution(d)
-        scores: dict[str, float] = {}
-        memo: dict[str, list[int]] = {}
-        for query in queries:
-            word_ids = memo.get(query)
-            if word_ids is None:
-                word_ids = self._corpus.word_ids(tokenize(query))
-                memo[query] = word_ids
-            scores[query] = (
-                float(np.mean(predictive[word_ids])) if word_ids else 0.0
-            )
-        return scores
-
 
 def _indptr(sizes: list[int]) -> np.ndarray:
     """CSR row pointer of consecutive blocks of the given sizes."""
@@ -854,21 +699,3 @@ def _indptr(sizes: list[int]) -> np.ndarray:
 def _column_views(table: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
     """Per-document column views ``table[:, indptr[d]:indptr[d + 1]]``."""
     return [table[:, a:b] for a, b in zip(indptr[:-1], indptr[1:])]
-
-
-class _ShardIndex:
-    """One worker shard's documents and their flat-table positions."""
-
-    def __init__(self, docs: list[int], model: UPM) -> None:
-        self.docs = docs
-        self.word_cols = _block_positions(model._word_indptr, docs)
-        self.url_cols = _block_positions(model._url_indptr, docs)
-        self.sessions = _block_positions(model._session_indptr, docs)
-
-
-def _block_positions(indptr: np.ndarray, blocks: list[int]) -> np.ndarray:
-    """Concatenated positions of the given CSR blocks, in block order."""
-    return np.concatenate(
-        [np.arange(indptr[b], indptr[b + 1]) for b in blocks]
-        + [np.empty(0, dtype=np.int64)]
-    )

@@ -23,7 +23,7 @@ Routing, affinity and batched envelopes
     profile-bearing suggester's store is packed into a shared **profile
     plane** (:mod:`repro.serve.profile_plane`) that workers attach
     zero-copy and Borda-fuse against exactly like the single-process
-    ``PersonalizedSuggester`` path.  Reply envelopes are tagged with
+    ``PQSDA.suggest``.  Reply envelopes are tagged with
     their batch id: envelopes surfacing late from a timed-out batch are
     drained, never matched against the next call.
 
@@ -122,11 +122,7 @@ from repro.core.suggester import PQSDA
 from repro.graphs.compact import RandomWalkExpander
 from repro.logs.schema import QueryRecord
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.personalize.profiles import (
-    ArrayProfileStore,
-    ProfileArrays,
-    UserProfileStore,
-)
+from repro.personalize.profiles import ArrayProfileStore, ProfileArrays
 from repro.serve.profile_plane import (
     AttachedProfilePlane,
     SharedProfileMeta,
@@ -281,15 +277,6 @@ def _encode_request(request: SuggestRequest) -> tuple:
         request.timestamp,
         request.shed,
     )
-
-
-def _profile_arrays(
-    profiles: UserProfileStore | ArrayProfileStore | ProfileArrays,
-) -> ProfileArrays:
-    """The packable form of any profile-store flavor the pool accepts."""
-    if isinstance(profiles, ProfileArrays):
-        return profiles
-    return profiles.to_arrays()
 
 
 def _decode_context(encoded: tuple) -> tuple[QueryRecord, ...]:
@@ -574,9 +561,8 @@ class SuggestWorkerPool:
         multibipartite: Representation handle; publishes the query-term
             adjacency so workers serve the unseen-query backoff.  ``None``
             disables the backoff in workers.
-        profiles: Profile store (or packed
-            :class:`~repro.personalize.profiles.ProfileArrays`) to publish
-            as the shared profile plane.  Workers attach zero-copy scorers
+        profiles: Profile store whose arrays are published as the shared
+            profile plane.  Workers attach zero-copy scorers
             over it and Borda-fuse personalized requests bit-identically
             to the single-process personalized suggester; ``None`` serves
             unpersonalized (the pre-profile-plane behavior).
@@ -612,7 +598,7 @@ class SuggestWorkerPool:
         expander: RandomWalkExpander,
         config: PQSDAConfig,
         multibipartite=None,
-        profiles: UserProfileStore | ArrayProfileStore | ProfileArrays | None = None,
+        profiles: ArrayProfileStore | None = None,
         n_workers: int = 2,
         registry=None,
         start_method: str = "spawn",
@@ -682,7 +668,7 @@ class SuggestWorkerPool:
                 self._current, expander, epoch_id=0
             )
             if profiles is not None:
-                arrays = _profile_arrays(profiles)
+                arrays = profiles.arrays
                 self._current = self._with_profiles(
                     self._current, arrays, arrays.generation
                 )
@@ -1261,7 +1247,7 @@ class SuggestWorkerPool:
 
     def publish_profiles(
         self,
-        profiles: UserProfileStore | ArrayProfileStore | ProfileArrays,
+        profiles: ArrayProfileStore,
         generation: int | None = None,
     ) -> None:
         """Publish the next profile generation and swap every worker onto it.
@@ -1273,9 +1259,12 @@ class SuggestWorkerPool:
         Borda-fusing profiled requests; *config.personalize* must be on
         for the fusion gate to open).
         """
-        arrays = _profile_arrays(profiles)
         self._publish(
-            partial(self._with_profiles, arrays=arrays, generation=generation)
+            partial(
+                self._with_profiles,
+                arrays=profiles.arrays,
+                generation=generation,
+            )
         )
 
     def publish_epoch(self, epoch) -> None:
@@ -1304,7 +1293,7 @@ class SuggestWorkerPool:
         profiles = getattr(epoch, "profiles", None)
         if profiles is not None:
             steps.append(
-                partial(self._with_profiles, arrays=_profile_arrays(profiles))
+                partial(self._with_profiles, arrays=profiles.arrays)
             )
         self._publish(*steps)
 

@@ -22,10 +22,10 @@ pipeline across workers; this module does the same for the paper's
 Workers attach an :class:`AttachedProfilePlane` and get a read-only
 :class:`~repro.personalize.profiles.ArrayProfileStore` whose numeric
 arrays are views into the segment (``np.shares_memory`` holds for every
-payload; the per-worker cost is the decoded vocabularies).  Scoring
-through the attached store is bit-identical to the single-process
-model-backed path, so Borda-fused pooled rankings equal the
-``PersonalizedSuggester`` rankings byte for byte.
+payload; the per-worker cost is the decoded vocabularies).  It is the
+same store class the single-process ``PQSDA`` scores through, over the
+same arrays, so Borda-fused pooled rankings equal the single-process
+personalized rankings byte for byte.
 
 Layout and lifecycle follow the :class:`~repro.serve.shm.SharedMatrixStore`
 conventions: 64-byte array alignment, a picklable manifest

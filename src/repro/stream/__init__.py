@@ -81,9 +81,9 @@ def streaming_pqsda(
     The UPM personalization stage is batch-fitted on the bootstrap log.
     By default profiles then stay frozen (the paper's profiles are offline
     artifacts); with *stream_profiles* (requires ``config.personalize``)
-    the fitted store is converted to its array form, bound to the
-    suggester, and handed to the ingestor — admitted click records then
-    fold into new profile generations that ride each epoch
+    the suggester's profile store reports its ``serve.profile.*`` metrics
+    to *registry* and is handed to the ingestor — admitted click records
+    then fold into new profile generations that ride each epoch
     (``Epoch.profiles``), so the suggester's personalization stays
     click-current alongside the graph.
     """
@@ -108,15 +108,9 @@ def streaming_pqsda(
         registry=registry,
     )
     suggester.attach_epochs(manager)
-    profiles = None
-    if stream_profiles and suggester.profiles is not None:
-        from repro.personalize.profiles import ArrayProfileStore
-
-        profiles = ArrayProfileStore(suggester.profiles.to_arrays())
+    profiles = suggester.profiles if stream_profiles else None
+    if profiles is not None:
         profiles.attach_metrics(registry)
-        # Rebase serving on the array store so epoch rebinds swap like
-        # for like (generation 0 scores bit-identically to the model).
-        suggester.rebind_profiles(profiles)
     ingestor = LogIngestor(
         state, manager, ingest, registry=registry, profiles=profiles
     )

@@ -38,7 +38,7 @@ from repro.logs.aol import parse_aol_line
 from repro.logs.cleaning import CleaningRules
 from repro.logs.schema import QueryRecord
 from repro.obs.registry import NULL_REGISTRY
-from repro.personalize.profiles import ArrayProfileStore, UserProfileStore
+from repro.personalize.profiles import ArrayProfileStore
 from repro.stream.delta import StreamState
 from repro.stream.epoch import Epoch, EpochManager
 from repro.utils.text import normalize_query, tokenize
@@ -126,10 +126,8 @@ class LogIngestor:
         registry: Optional :class:`~repro.obs.registry.MetricsRegistry`
             the writer loop's ``stream.ingest.*`` metrics feed; ``None``
             binds the no-op null registry.
-        profiles: Optional profile store click feedback folds into.  A
-            model-backed :class:`~repro.personalize.profiles.UserProfileStore`
-            is converted to its array form once up front; ``None`` (the
-            default) disables profile feedback entirely.
+        profiles: Optional profile store click feedback folds into;
+            ``None`` (the default) disables profile feedback entirely.
     """
 
     def __init__(
@@ -138,7 +136,7 @@ class LogIngestor:
         manager: EpochManager,
         config: IngestConfig | None = None,
         registry=None,
-        profiles: ArrayProfileStore | UserProfileStore | None = None,
+        profiles: ArrayProfileStore | None = None,
     ) -> None:
         self._state = state
         self._manager = manager
@@ -146,9 +144,7 @@ class LogIngestor:
         self._buffer: list[QueryRecord] = []
         self._batches_since_publish = 0
         self._user_volume: dict[str, int] = {}
-        if isinstance(profiles, UserProfileStore):
-            profiles = ArrayProfileStore(profiles.to_arrays())
-        self._profiles: ArrayProfileStore | None = profiles
+        self._profiles = profiles
         self._feedback: list[QueryRecord] = []
         self.attach_metrics(registry)
 

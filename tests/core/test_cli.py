@@ -40,6 +40,19 @@ class TestParser:
             ["ingest", "log.tsv", "--batch-size", "0"],
             ["ingest", "log.tsv", "--epoch-every", "-3"],
             ["ingest", "log.tsv", "--k", "0"],
+            ["suggest", "log.tsv", "q", "--compact-size", "0"],
+            ["suggest", "log.tsv", "q", "--topics", "0"],
+            ["suggest", "log.tsv", "q", "--max-records", "-5"],
+            ["ingest", "log.tsv", "--compact-size", "-1"],
+            ["ingest", "log.tsv", "--max-records", "0"],
+            ["serve", "log.tsv", "--compact-size", "0"],
+            ["serve", "log.tsv", "--personalize", "--topics", "0"],
+            ["serve", "log.tsv", "--personalize", "--upm-iterations", "0"],
+            ["serve", "log.tsv", "--max-records", "0"],
+            ["perplexity", "log.tsv", "--topics", "0"],
+            ["perplexity", "log.tsv", "--iterations", "0"],
+            ["perplexity", "log.tsv", "--max-records", "0"],
+            ["stats", "log.tsv", "--max-records", "0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
@@ -127,9 +140,9 @@ class TestSuggest:
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "UPM fit: engine=fast" in err
-        assert "sweeps" in err
-        assert "pseudo-log-likelihood" in err
+        assert "UPM fit: engine=fast 30 sweeps in " in err
+        assert "ms/sweep sampling" in err
+        assert "UPM fit: final pseudo-log-likelihood -" in err
 
     def test_unknown_query_message(self, log_path, capsys):
         code = main(
@@ -143,18 +156,6 @@ class TestSuggest:
         empty.write_text("AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n")
         code = main(["suggest", str(empty), "sun"])
         assert code == 1
-
-    def test_reference_engine_workers_error(self, log_path, capsys):
-        code = main(
-            [
-                "suggest", str(log_path), "sun",
-                "--upm-engine", "reference", "--upm-workers", "2",
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the reference engine runs serially")
-        assert len(err.strip().splitlines()) == 1
 
 
 class TestIngest:

@@ -8,14 +8,17 @@ from repro.baselines.base import SuggestRequest
 from repro.core import PQSDA, PQSDAConfig
 from repro.diversify.candidates import DiversifyConfig
 from repro.graphs.compact import CompactConfig
+from repro.logs.sessionizer import sessionize
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SPAN_HISTOGRAM
-from repro.personalize.upm import UPMConfig
+from repro.personalize.upm import UPM, UPMConfig
 from repro.synth.generator import GeneratorConfig, generate_log
 from repro.synth.world import make_world
+from repro.topicmodels.corpus import build_corpus
 
 UPM_ITERATIONS = 4
+UPM_CONFIG = UPMConfig(n_topics=4, iterations=UPM_ITERATIONS, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ def instrumented():
         config=PQSDAConfig(
             compact=CompactConfig(size=60),
             diversify=DiversifyConfig(k=8, candidate_pool=15),
-            upm=UPMConfig(n_topics=4, iterations=UPM_ITERATIONS, seed=0),
+            upm=UPM_CONFIG,
         ),
         registry=registry,
     )
@@ -72,7 +75,7 @@ class TestSpanTree:
     def test_rerank_span_when_personalized(self, instrumented):
         suggester, registry, log = instrumented
         assert suggester.profiles is not None
-        user = next(iter(suggester.profiles.model.corpus.doc_index))
+        user = suggester.profiles.user_ids[0]
         probe = _known_probe(suggester, log)
         suggester.suggest(probe, k=8, user_id=user)
         root = suggester.last_trace
@@ -108,7 +111,13 @@ class TestMirroredCounters:
         assert registry.counter("upm.fits").value == 1
         assert registry.counter("upm.sweeps").value == UPM_ITERATIONS
         assert registry.histogram("upm.sweep.seconds").count == UPM_ITERATIONS
-        model = suggester.profiles.model
+        fit_seconds = {
+            entry["name"]: entry for entry in registry.snapshot()["metrics"]
+        }["upm.fit.seconds"]
+        assert fit_seconds["count"] == 1 and fit_seconds["sum"] > 0.0
+        # The registry carries the fit PQSDA.build ran: a refit of the
+        # same corpus ends on the same pseudo-log-likelihood.
+        model = UPM(UPM_CONFIG).fit(build_corpus(log, sessionize(log)))
         stats = model.fit_stats
         series = model.fit_metrics.series("upm.sweep.log_likelihood")
         assert series.values == stats.sweep_log_likelihood

@@ -1,10 +1,10 @@
 """Tests for the UPM fast engine: bit-identity, fit stats, Beta moments.
 
-The fast engine (vectorized kernel + process sharding) is required to be
+The fast engine (the step-batched vectorized kernel) is required to be
 **bit-identical** to the reference sampler — exact array equality, not
-approximate — for any worker count.  That contract is what makes the
-"fast" default safe: every qualitative result in the rest of the suite is
-automatically a test of both engines.
+approximate.  That contract is what makes the "fast" default safe: every
+qualitative result in the rest of the suite is automatically a test of
+both engines.
 """
 
 import time
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logs.sessionizer import sessionize
-from repro.personalize.gibbs_fast import barrier_segments
 from repro.personalize.upm import UPM, UPMConfig, fit_beta_moments
 from repro.topicmodels.corpus import (
     Document,
@@ -37,7 +36,7 @@ def reference(corpus):
     return UPM(
         UPMConfig(
             n_topics=2, iterations=14, hyperopt_every=5, seed=3,
-            engine="reference", n_workers=1,
+            engine="reference",
         )
     ).fit(corpus)
 
@@ -52,14 +51,11 @@ class TestEngineConfig:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("n_workers", [1, 2, 5])
-    def test_fast_engine_exactly_equals_reference(
-        self, corpus, reference, n_workers
-    ):
+    def test_fast_engine_exactly_equals_reference(self, corpus, reference):
         fast = UPM(
             UPMConfig(
                 n_topics=2, iterations=14, hyperopt_every=5, seed=3,
-                engine="fast", n_workers=n_workers,
+                engine="fast",
             )
         ).fit(corpus)
         for a, b in zip(reference._assignments, fast._assignments):
@@ -69,19 +65,8 @@ class TestBitIdentity:
         assert np.array_equal(reference.beta, fast.beta)
         assert np.array_equal(reference.delta, fast.delta)
         assert np.array_equal(reference.tau, fast.tau)
-
-    @pytest.mark.parametrize("n_workers", [2, 5])
-    def test_log_likelihood_identical_across_workers(
-        self, corpus, reference, n_workers
-    ):
-        # The observability channel must not depend on the worker count
-        # either — per-document terms are summed in canonical order.
-        fast = UPM(
-            UPMConfig(
-                n_topics=2, iterations=14, hyperopt_every=5, seed=3,
-                engine="fast", n_workers=n_workers,
-            )
-        ).fit(corpus)
+        # The observability channel too: per-document terms are summed in
+        # document order.
         assert (
             fast.fit_stats.sweep_log_likelihood
             == reference.fit_stats.sweep_log_likelihood
@@ -105,7 +90,7 @@ class TestBitIdentity:
             fast = UPM(
                 UPMConfig(
                     n_topics=2, iterations=8, seed=1, engine="fast",
-                    n_workers=2, **kwargs,
+                    **kwargs,
                 )
             ).fit(corpus)
             assert np.array_equal(ref.theta, fast.theta), kwargs
@@ -171,21 +156,17 @@ class TestRaggedSteps:
         use_urls=st.booleans(),
         use_time=st.booleans(),
         hyperopt_every=st.sampled_from([0, 2]),
-        n_workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**16),
     )
     def test_fast_engine_exactly_equals_reference(
-        self, corpus, n_topics, use_urls, use_time, hyperopt_every,
-        n_workers, seed,
+        self, corpus, n_topics, use_urls, use_time, hyperopt_every, seed,
     ):
         config = dict(
             n_topics=n_topics, iterations=4, hyperopt_every=hyperopt_every,
             use_urls=use_urls, use_time=use_time, seed=seed,
         )
         reference = UPM(UPMConfig(engine="reference", **config)).fit(corpus)
-        fast = UPM(
-            UPMConfig(engine="fast", n_workers=n_workers, **config)
-        ).fit(corpus)
+        fast = UPM(UPMConfig(engine="fast", **config)).fit(corpus)
         for a, b in zip(reference._assignments, fast._assignments):
             assert np.array_equal(a, b)
         for name in ("theta", "alpha", "beta", "delta", "tau"):
@@ -196,26 +177,6 @@ class TestRaggedSteps:
             fast.fit_stats.sweep_log_likelihood
             == reference.fit_stats.sweep_log_likelihood
         )
-
-
-class TestBarrierSegments:
-    def test_splits_at_hyperopt_multiples(self):
-        assert barrier_segments(60, 20) == [(1, 20), (21, 40), (41, 60)]
-
-    def test_partial_tail_segment(self):
-        assert barrier_segments(25, 10) == [(1, 10), (11, 20), (21, 25)]
-
-    def test_no_hyperopt_is_one_segment(self):
-        assert barrier_segments(30, 0) == [(1, 30)]
-
-    def test_segments_cover_all_sweeps_exactly_once(self):
-        for iterations, every in [(1, 1), (7, 3), (60, 20), (5, 100)]:
-            segments = barrier_segments(iterations, every)
-            sweeps = [
-                s for start, stop in segments
-                for s in range(start, stop + 1)
-            ]
-            assert sweeps == list(range(1, iterations + 1))
 
 
 class TestFitBetaMoments:
@@ -267,7 +228,6 @@ class TestFitStats:
     def test_shapes_and_metadata(self, reference):
         stats = reference.fit_stats
         assert stats.engine == "reference"
-        assert stats.n_workers == 1
         assert stats.n_sweeps == 14
         assert len(stats.sweep_seconds) == 14
         assert all(s >= 0 for s in stats.sweep_seconds)
@@ -302,22 +262,3 @@ class TestFitStats:
         lls = model.fit_stats.sweep_log_likelihood
         assert np.mean(lls[-10:]) > np.mean(lls[:5])
         assert all(np.isfinite(v) for v in lls)
-
-
-class TestTopicWordMemoization:
-    def test_repeated_calls_return_cached_array(self, corpus):
-        model = UPM(UPMConfig(n_topics=2, iterations=5, seed=0)).fit(corpus)
-        first = model.topic_word_distribution(0)
-        assert model.topic_word_distribution(0) is first
-
-    def test_refit_invalidates_cache(self, corpus):
-        model = UPM(UPMConfig(n_topics=2, iterations=5, seed=0)).fit(corpus)
-        before = model.topic_word_distribution(0)
-        model.fit(corpus)
-        assert model.topic_word_distribution(0) is not before
-
-    def test_scores_unchanged_by_caching(self, corpus):
-        model = UPM(UPMConfig(n_topics=2, iterations=5, seed=0)).fit(corpus)
-        cold = model.preference_score("u0", "java jvm")
-        warm = model.preference_score("u0", "java jvm")
-        assert cold == warm > 0

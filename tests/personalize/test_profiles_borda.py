@@ -3,20 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.core import PQSDA, PQSDAConfig
 from repro.logs.sessionizer import sessionize
 from repro.personalize.borda import personalize_ranking
-from repro.personalize.profiles import UserProfile, UserProfileStore
+from repro.personalize.profiles import ArrayProfileStore, UserProfile
 from repro.personalize.upm import UPM, UPMConfig
 from repro.topicmodels.corpus import build_corpus
+from repro.utils.ranking import ranks_from_scores
 from tests.personalize.test_upm import two_topic_log
+
+UPM_CONFIG = UPMConfig(n_topics=2, iterations=30, seed=0)
+
+
+@pytest.fixture(scope="module")
+def model():
+    """The UPM fit ``PQSDA.build`` runs: the Eq. 31 reference."""
+    log = two_topic_log()
+    return UPM(UPM_CONFIG).fit(build_corpus(log, sessionize(log)))
 
 
 @pytest.fixture(scope="module")
 def store():
-    log = two_topic_log()
-    corpus = build_corpus(log, sessionize(log))
-    model = UPM(UPMConfig(n_topics=2, iterations=30, seed=0)).fit(corpus)
-    return UserProfileStore(model)
+    """The profile store ``PQSDA.build`` serves through."""
+    return PQSDA.build(
+        two_topic_log(), config=PQSDAConfig(upm=UPM_CONFIG)
+    ).profiles
 
 
 class TestUserProfile:
@@ -34,6 +45,8 @@ class TestUserProfile:
 
 
 class TestUserProfileStore:
+    """The serving surface of the store ``PQSDA.build`` returns."""
+
     def test_contains_all_users(self, store):
         assert len(store) == 8
         assert "u0" in store
@@ -74,37 +87,42 @@ class TestUserProfileStore:
 
 
 class TestArrayProfileStore:
-    @pytest.fixture(scope="class")
-    def array_store(self, store):
-        from repro.personalize.profiles import ArrayProfileStore
+    """``PQSDA.build``'s store against the fitted model it packs."""
 
-        return ArrayProfileStore(store.to_arrays())
-
-    def test_bit_identical_to_model_backed_store(self, store, array_store):
-        assert array_store.user_ids == store.user_ids
+    def test_bit_identical_to_model_backed_store(self, model, store):
+        assert isinstance(store, ArrayProfileStore)
+        users = list(model.corpus.doc_index)
+        assert store.user_ids == sorted(users)
         queries = ["java jvm", "telescope orbit", "comet", "unseen", ""]
-        for user_id in store.user_ids + ["ghost"]:
+        for user_id in users + ["ghost"]:
             for query in queries:
-                assert array_store.score(user_id, query) == store.score(
+                assert store.score(user_id, query) == model.preference_score(
                     user_id, query
                 )
+            assert store.score_candidates(user_id, queries) == {
+                query: model.preference_score(user_id, query)
+                for query in queries
+            }
 
-    def test_profiles_and_tau_round_trip(self, store, array_store):
-        for user_id in store.user_ids:
+    def test_profiles_and_tau_round_trip(self, model, store):
+        theta = model.theta
+        for user_id, d in model.corpus.doc_index.items():
+            assert np.array_equal(store.profile(user_id).theta, theta[d])
             assert np.array_equal(
-                array_store.profile(user_id).theta,
-                store.profile(user_id).theta,
+                store.user_tau(user_id), model.user_tau(user_id)
             )
-            assert np.array_equal(
-                array_store.user_tau(user_id),
-                store.model.user_tau(user_id),
-            )
+        for lookup in (store.profile, model.profile_of,
+                       store.user_tau, model.user_tau):
+            with pytest.raises(KeyError):
+                lookup("ghost")
 
-    def test_rank_candidates_matches(self, store, array_store):
+    def test_rank_candidates_matches(self, model, store):
         candidates = ["telescope orbit", "java jvm", "comet orbit"]
-        assert array_store.rank_candidates(
-            "u0", candidates
-        ) == store.rank_candidates("u0", candidates)
+        scores = {query: model.preference_score("u0", query)
+                  for query in candidates}
+        assert store.rank_candidates("u0", candidates) == ranks_from_scores(
+            scores
+        )
 
 
 class TestPersonalizeRanking:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.base import Suggester
 from repro.logs.sessionizer import sessionize
-from repro.personalize.profiles import UserProfileStore
+from repro.personalize.profiles import ArrayProfileStore, ProfileArrays
 from repro.personalize.reranker import PersonalizedReranker
 from repro.personalize.upm import UPM, UPMConfig
 from repro.topicmodels.corpus import build_corpus
@@ -26,7 +26,7 @@ def store():
     log = two_topic_log()
     corpus = build_corpus(log, sessionize(log))
     model = UPM(UPMConfig(n_topics=2, iterations=30, seed=0)).fit(corpus)
-    return UserProfileStore(model)
+    return ArrayProfileStore(ProfileArrays.from_model(model))
 
 
 class TestPersonalizedReranker:

@@ -7,7 +7,6 @@ from repro.diversify.candidates import DiversifyConfig
 from repro.graphs.compact import CompactConfig, RandomWalkExpander
 from repro.graphs.multibipartite import build_multibipartite
 from repro.logs.sessionizer import sessionize
-from repro.personalize.profiles import UserProfileStore
 from repro.personalize.upm import UPM, UPMConfig
 from repro.synth.generator import GeneratorConfig, generate_log
 from repro.synth.world import make_world
@@ -56,11 +55,21 @@ def single_suggester(multibipartite, expander):
 
 
 @pytest.fixture(scope="package")
-def profile_store(synthetic_log):
-    """A fitted UPM profile store over the same synthetic log."""
+def upm_model(synthetic_log):
+    """The UPM fit behind ``profile_store``: the Eq. 31 reference."""
     corpus = build_corpus(synthetic_log, sessionize(synthetic_log))
-    model = UPM(SERVE_PERSONAL_CONFIG.upm).fit(corpus)
-    return UserProfileStore(model)
+    return UPM(SERVE_PERSONAL_CONFIG.upm).fit(corpus)
+
+
+@pytest.fixture(scope="package")
+def profile_store(synthetic_log, multibipartite, expander):
+    """The profile store ``PQSDA.build`` fits over the same synthetic log."""
+    return PQSDA.build(
+        synthetic_log,
+        config=SERVE_PERSONAL_CONFIG,
+        multibipartite=multibipartite,
+        expander=expander,
+    ).profiles
 
 
 @pytest.fixture(scope="package")

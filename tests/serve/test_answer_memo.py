@@ -35,7 +35,6 @@ from repro.graphs.compact import RandomWalkExpander
 from repro.graphs.multibipartite import build_multibipartite
 from repro.logs.schema import QueryRecord
 from repro.logs.sessionizer import sessionize
-from repro.personalize.profiles import ArrayProfileStore
 from repro.serve.pool import SuggestWorkerPool, _AnswerMemo
 from repro.stream.epoch import Epoch
 from repro.synth.generator import GeneratorConfig, generate_log
@@ -70,7 +69,7 @@ def graphs(synthetic_log, multibipartite, expander):
 @pytest.fixture(scope="module")
 def profile_sets(profile_store, multibipartite):
     """Two profile generations: the fitted store and one with feedback."""
-    folded = ArrayProfileStore(profile_store.to_arrays()).fold_feedback(
+    folded = profile_store.fold_feedback(
         [
             QueryRecord(
                 user_id=profile_store.user_ids[0],

@@ -15,7 +15,6 @@ from repro.graphs.multibipartite import build_multibipartite
 from repro.logs.schema import QueryRecord
 from repro.logs.sessionizer import sessionize
 from repro.logs.storage import QueryLog
-from repro.personalize.profiles import ArrayProfileStore
 from repro.serve.pool import SuggestWorkerPool
 from repro.stream import IngestConfig, streaming_pqsda
 from repro.stream.epoch import Epoch, EpochManager
@@ -224,7 +223,7 @@ def test_epoch_graph_and_profiles_swap_as_one_generation(
     """
     log2, mb2, expander2 = next_generation
     user = profile_store.user_ids[0]
-    folded = ArrayProfileStore(profile_store.to_arrays()).fold_feedback(
+    folded = profile_store.fold_feedback(
         [
             QueryRecord(
                 user_id=user,

@@ -24,7 +24,7 @@ def _dev_shm_entries(prefix):
 
 @pytest.fixture(scope="module")
 def profile_arrays(profile_store):
-    return profile_store.to_arrays()
+    return profile_store.arrays
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,34 @@ def test_attached_plane_is_zero_copy_and_bit_identical(
         store.unlink()
         store.close()
     assert _dev_shm_entries(store.segment_name) == []
+
+
+def test_built_store_scores_like_the_model(profile_store, upm_model):
+    """``PQSDA.build``'s store is the Eq. 31 reference, bit for bit."""
+    assert isinstance(profile_store, ArrayProfileStore)
+    users = list(upm_model.corpus.doc_index)
+    assert profile_store.user_ids == sorted(users)
+    in_vocabulary = " ".join(upm_model.corpus.word_of_id[:3])
+    queries = [in_vocabulary, "sun java", "totally unseen query", ""]
+    theta = upm_model.theta
+    for user_id in users:
+        d = upm_model.corpus.doc_index[user_id]
+        assert np.array_equal(profile_store.profile(user_id).theta, theta[d])
+        assert np.array_equal(
+            profile_store.user_tau(user_id), upm_model.user_tau(user_id)
+        )
+        for query in queries:
+            assert profile_store.score(
+                user_id, query
+            ) == upm_model.preference_score(user_id, query)
+    for query in queries:
+        assert profile_store.score(
+            "ghost", query
+        ) == upm_model.preference_score("ghost", query)
+    for lookup in (profile_store.profile, upm_model.profile_of,
+                   profile_store.user_tau, upm_model.user_tau):
+        with pytest.raises(KeyError):
+            lookup("ghost")
 
 
 def test_batch_scoring_matches_per_query(profile_store, profile_arrays):

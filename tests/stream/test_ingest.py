@@ -234,7 +234,7 @@ class TestProfileFeedback:
         from repro.logs.sessionizer import sessionize
         from repro.personalize.profiles import (
             ArrayProfileStore,
-            UserProfileStore,
+            ProfileArrays,
         )
         from repro.personalize.upm import UPM, UPMConfig
         from repro.topicmodels.corpus import build_corpus
@@ -243,7 +243,7 @@ class TestProfileFeedback:
         log = two_topic_log()
         corpus = build_corpus(log, sessionize(log))
         model = UPM(UPMConfig(n_topics=2, iterations=10, seed=0)).fit(corpus)
-        return ArrayProfileStore(UserProfileStore(model).to_arrays())
+        return ArrayProfileStore(ProfileArrays.from_model(model))
 
     def test_clicks_fold_into_epoch_profiles(self, profile_store):
         state = StreamState()
@@ -297,13 +297,22 @@ class TestProfileFeedback:
             upm=UPMConfig(n_topics=2, iterations=10, seed=0),
             personalize=True,
         )
+        registry = MetricsRegistry()
         suggester, ingestor, manager = streaming_pqsda(
             log,
             config=config,
             ingest=IngestConfig(batch_size=2, epoch_every=1, clean=False),
+            registry=registry,
             stream_profiles=True,
         )
         assert isinstance(suggester.profiles, ArrayProfileStore)
+        assert ingestor.profiles is suggester.profiles
+        # The fitted store reports its serve.profile.* metrics.
+        assert registry.gauge("serve.profile.users").value == len(
+            suggester.profiles
+        )
+        suggester.profiles.score_candidates("ghost", ["java jvm"])
+        assert registry.counter("serve.profile.unprofiled_misses").value == 1
         user = suggester.profiles.user_ids[0]
         last = max(r.timestamp for r in log.records)
         clicks = [
