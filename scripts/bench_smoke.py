@@ -34,14 +34,14 @@ The record also carries the per-stage span breakdown and the full
 metrics snapshot.
 
 ``--serve`` benchmarks the scale-out serving plane (``BENCH_serve.json``):
-pooled QPS at 1, 2 and 4 suggest workers on a warm probe workload with
-the hot-query precompute off and on (head rankings seeding the parent's
-answer memo at publish), the per-request IPC overhead vs. the
-single-process path, the memo hit rate, separate bit-identity checks for
+pooled QPS at 1, 2 and 4 suggest workers on a warm probe workload, the
+memo hit rate with the hot-query precompute on (head rankings seeding the
+parent's answer memo at publish), separate bit-identity checks for
 worker and memo answers against the single-process path, and the memory
-ledger (segment bytes once + per-worker RSS).  The tier-off QPS is timed
-on probes that carry a search context, so workers run solve and walk per
-request; bare repeats (parent answer-memo hits) are timed beside it.
+ledger (segment bytes once + per-worker RSS).  The QPS is timed on probes
+that carry a search context, so workers run solve and walk per request;
+bare repeats (parent answer-memo hits) only check answers; their timing
+is not recorded.
 ``--min-serve-scaling`` turns the 2-worker/1-worker tier-off QPS ratio
 into a guard (exit 1 below the bound; auto-skipped when the machine has
 fewer than 2 CPUs, where no scaling is physically available).  The gated
@@ -696,18 +696,16 @@ def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
     workload is served warm (a priming pass first) so the numbers
     measure the steady serving state, not compact-cache fills.
 
-    ``qps`` (and the scaling gate on it) times the tier-off pool on the
-    probes with a search context (:func:`_context_requests`), so each
-    request runs solve and walk in a worker.  ``qps_bare`` times the
-    same pool on bare repeated probes and ``qps_hot_tier`` the tier-on
-    pool on them.  Both now time parent memo hits: after the warm pass
-    the parent's answer memo holds every bare probe, so neither reaches
-    a worker, and ``hot_hit_rate`` counts the warm pass's precomputed
-    hits too.  Every workload's
-    answers are checked bit-identical against the single-process
-    reference; ``ipc_overhead_ms`` is the per-request cost the pool adds
-    over the single-process path on the context workload (negative once
-    parallelism wins).
+    ``qps`` times the tier-off pool on the probes with a search context
+    (:func:`_context_requests`), so each request runs solve and walk in a
+    worker; the scaling gate reads the paired ``scaling_2_vs_1`` instead
+    (:func:`_paired_scaling`).  Bare repeated probes also run through
+    both pools, but their timing is not recorded: after the warm pass
+    the parent's answer memo holds every one of them, so they check
+    answers, not worker speed, and ``hot_hit_rate`` counts the warm
+    pass's precomputed hits too.
+    Every workload's answers are checked bit-identical against the
+    single-process reference.
     ``segment_mb`` counts the shared matrix bytes once — the marginal
     per-worker memory is each worker's own RSS (interpreter + caches),
     not another copy of the matrices.
@@ -777,7 +775,7 @@ def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
             suggester, n_workers=n_workers, prefix=f"bench{n_workers}"
         ) as pool:
             qps, tail_identical, _ = timed_qps(pool)
-            qps_bare, bare_identical, _ = timed_qps(pool, bare, expected_bare)
+            _, bare_identical, _ = timed_qps(pool, bare, expected_bare)
             tail_identical = tail_identical and bare_identical
             stats = pool.stats()
             segment_mb = round(pool.segment_bytes / 1e6, 3)
@@ -793,7 +791,7 @@ def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
             prefix=f"benchhot{n_workers}",
             hot_queries=hot_queries,
         ) as pool:
-            qps_hot, _, got_hot = timed_qps(pool, bare, expected_bare)
+            _, _, got_hot = timed_qps(pool, bare, expected_bare)
             hot_stats = pool.stats()
             hot_identical = all(
                 got_hot[i] == expected_bare[i] for i in hot_positions
@@ -806,10 +804,6 @@ def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
         entry = {
             "n_workers": n_workers,
             "qps": round(qps, 1),
-            "qps_bare": round(qps_bare, 1),
-            "qps_hot_tier": round(qps_hot, 1),
-            "scaling_vs_1_worker": None,  # filled below
-            "ipc_overhead_ms": round(1000.0 / qps - 1000.0 / single_qps, 3),
             "hot_entries": hot_stats.hot_entries,
             "hot_hit_rate": round(hit_rate, 3),
             "bit_identical_tail": tail_identical,
@@ -822,17 +816,13 @@ def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
         }
         row["workers"].append(entry)
         print(
-            f"serve: {n_workers} workers: {qps:7.1f} QPS tail / "
-            f"bare {qps_bare:7.1f} QPS tail / {qps_hot:7.1f} QPS hot-tier "
+            f"serve: {n_workers} workers: {qps:7.1f} QPS tail "
             f"(single-process {single_qps:.1f}), "
             f"hot hit rate {hit_rate:.0%}, "
             f"bit_identical={entry['bit_identical']}, "
             f"segment={segment_mb}MB, "
             f"rss={[round(k / 1024) for k in worker_rss]}MB"
         )
-    base_qps = row["workers"][0]["qps"]
-    for entry in row["workers"]:
-        entry["scaling_vs_1_worker"] = round(entry["qps"] / base_qps, 2)
     row["scaling_2_vs_1"] = scaling = _paired_scaling(
         suggester, requests, expected, rounds
     )

@@ -10,6 +10,9 @@ For each bipartite ``X ∈ {U, S, T}`` the diversification component needs:
 * ``P^X`` — the row-stochastic two-step transition
   ``query → facet → query`` used by the cross-bipartite walker.
 
+Only ``W^X`` is stored; ``L^X`` and ``P^X`` derive from it on first
+access, and serving derives them only over compact representations.
+
 The helpers here sit on the online serving path (a compact representation
 is derived per request), so they avoid scipy's Python-level dispatch where
 it matters: row sums go through the ``csr_matvec`` kernel, diagonal
@@ -19,8 +22,9 @@ matrices are assembled without re-validating their index structure.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +38,6 @@ except ImportError:  # pragma: no cover - exercised only on exotic scipy
 
 __all__ = [
     "BipartiteMatrices",
-    "LazyAffinities",
     "build_matrices",
     "csr_from_parts",
     "row_normalize",
@@ -138,47 +141,30 @@ def csr_from_parts(
     return _raw_csr(data, indices, indptr, shape, sorted_indices)
 
 
-class LazyAffinities(Mapping):
-    """Kind -> ``L^X`` mapping derived from the cached grams on demand.
+class _LazyMatrices(Mapping):
+    """Kind -> matrix derived from that kind's incidence on first access.
 
-    The serving hot path never reads the full-graph affinities —
-    :meth:`BipartiteMatrices.restrict` derives compact affinities from the
-    sliced grams — so a worker that attaches shared full-graph structures
-    defers (and usually never pays) the ``D^{-1/2} G D^{-1/2}`` scaling.
+    The one lazy mapping behind :attr:`BipartiteMatrices.affinity` and
+    :attr:`BipartiteMatrices.transition`.  The serving path reads neither
+    on the full graph — it restricts the incidences first, and the walker
+    assembles its mixed transition straight from them — so full-graph
+    products are only ever paid for by the offline callers that ask.
+    Threads racing on a first access each derive the same matrix, and
+    either copy may be kept.
     """
 
-    def __init__(self, gram: Mapping) -> None:
-        self._gram = gram
-        self._cache: dict[str, sparse.csr_matrix] = {}
-
-    def __getitem__(self, kind: str) -> sparse.csr_matrix:
-        if kind not in self._cache:
-            self._cache[kind] = _affinity_from_gram(self._gram[kind])
-        return self._cache[kind]
-
-    def __iter__(self):
-        return iter(self._gram)
-
-    def __len__(self) -> int:
-        return len(self._gram)
-
-
-class _LazyTransitions(Mapping):
-    """Kind -> ``P^X`` mapping that derives each transition on first access.
-
-    The serving fast path never reads the per-kind transitions — the
-    cross-bipartite walker assembles its mixed transition straight from the
-    incidence matrices — so :meth:`BipartiteMatrices.restrict` defers the
-    three two-step matmuls until somebody actually asks for one.
-    """
-
-    def __init__(self, incidence: Mapping[str, sparse.csr_matrix]) -> None:
+    def __init__(
+        self,
+        incidence: Mapping[str, sparse.csr_matrix],
+        derive: Callable[[sparse.csr_matrix], sparse.csr_matrix],
+    ) -> None:
         self._incidence = incidence
+        self._derive = derive
         self._cache: dict[str, sparse.csr_matrix] = {}
 
     def __getitem__(self, kind: str) -> sparse.csr_matrix:
         if kind not in self._cache:
-            self._cache[kind] = _transition_of(self._incidence[kind])
+            self._cache[kind] = self._derive(self._incidence[kind])
         return self._cache[kind]
 
     def __iter__(self):
@@ -192,26 +178,30 @@ class _LazyTransitions(Mapping):
 class BipartiteMatrices:
     """All matrices of one representation, on a fixed query ordering.
 
+    Only the incidences are held; :attr:`affinity` and :attr:`transition`
+    derive from them per kind on first access.
+
     Attributes:
         queries: Query strings, row order of every matrix.
         query_index: Query -> row ordinal.
         incidence: Kind -> ``W^X`` (n_queries, n_facets_X).
-        affinity: Kind -> ``L^X`` (n_queries, n_queries), symmetric,
-            spectral radius <= 1.
-        transition: Kind -> ``P^X`` (n_queries, n_queries), row-stochastic
-            (zero rows for queries with no facet in X).
-        gram: Kind -> ``W^X W^{X⊤}`` (n_queries, n_queries).  Cached by
-            :func:`build_matrices` so :meth:`restrict` can derive compact
-            affinities by slicing instead of re-multiplying; None on
-            hand-assembled instances (restrict then recomputes it).
     """
 
     queries: list[str]
     query_index: dict[str, int]
     incidence: dict[str, sparse.csr_matrix]
-    affinity: dict[str, sparse.csr_matrix]
-    transition: dict[str, sparse.csr_matrix]
-    gram: dict[str, sparse.csr_matrix] | None = None
+
+    @cached_property
+    def affinity(self) -> Mapping[str, sparse.csr_matrix]:
+        """Kind -> ``L^X`` (n_queries, n_queries), symmetric, spectral
+        radius <= 1."""
+        return _LazyMatrices(self.incidence, _affinity_of)
+
+    @cached_property
+    def transition(self) -> Mapping[str, sparse.csr_matrix]:
+        """Kind -> ``P^X`` (n_queries, n_queries), row-stochastic (zero
+        rows for queries with no facet in X)."""
+        return _LazyMatrices(self.incidence, _transition_of)
 
     @property
     def n_queries(self) -> int:
@@ -226,15 +216,14 @@ class BipartiteMatrices:
     def restrict(self, ordinals: Sequence[int]) -> "BipartiteMatrices":
         """Compact matrices over the query rows *ordinals*, by slicing.
 
-        The serving fast path: the compact incidence ``W^X`` is a CSR row
-        slice of the full incidence (with facet columns that lost all their
-        edges dropped), and the compact gram ``W^X W^{X⊤}`` is a row+column
-        slice of the cached full gram — restricting the query set removes
-        whole rows but never touches the facets a kept query is connected
-        to, so every gram entry between kept queries is unchanged.  Only
-        the cheap derived matrices (degree scalings and the two-step
-        transition, whose facet-side normalizer genuinely depends on the
-        kept set) are recomputed.
+        The serving fast path: each compact incidence ``W^X`` is a CSR row
+        slice of the full incidence, with the facet columns that lost all
+        their edges dropped, and the compact gram ``W_c W_c^T`` behind the
+        affinities is the product of that slice.  Restricting the query
+        set removes whole rows but never touches the facets a kept query
+        is connected to, and the column renumbering is monotone, so scipy
+        sums every gram entry over the same facets in the same ascending
+        order as over the full incidence.
 
         The result is numerically identical to
         ``build_matrices(multibipartite.restrict_queries(queries))`` for
@@ -246,14 +235,7 @@ class BipartiteMatrices:
         if rows[0] < 0 or rows[-1] >= self.n_queries:
             raise ValueError("ordinals out of range")
         queries = [self.queries[int(i)] for i in rows]
-        query_index = {query: i for i, query in enumerate(queries)}
-        # Old ordinal -> compact ordinal (-1 = dropped); shared by the
-        # per-kind gram slicing below.
-        lookup = np.full(self.n_queries, -1, dtype=np.intp)
-        lookup[rows] = np.arange(rows.size, dtype=np.intp)
         incidence: dict[str, sparse.csr_matrix] = {}
-        affinity: dict[str, sparse.csr_matrix] = {}
-        gram: dict[str, sparse.csr_matrix] = {}
         for kind in BIPARTITE_KINDS:
             full = self.incidence[kind]
             indices, data, indptr = _take_rows(full, rows)
@@ -264,67 +246,24 @@ class BipartiteMatrices:
                 indices = np.searchsorted(live_columns, indices).astype(
                     indices.dtype
                 )
-            sliced = _raw_csr(
+            incidence[kind] = _raw_csr(
                 data,
                 indices,
                 indptr,
                 (rows.size, int(live_columns.size)),
                 sorted_indices=bool(full.has_sorted_indices),
             )
-            if self.gram is not None:
-                sub_gram = _slice_square(self.gram[kind], rows, lookup)
-            else:
-                sub_gram = _gram_of(sliced)
-            incidence[kind] = sliced
-            gram[kind] = sub_gram
-            affinity[kind] = _affinity_from_gram(sub_gram)
         return BipartiteMatrices(
             queries=queries,
-            query_index=query_index,
+            query_index={query: i for i, query in enumerate(queries)},
             incidence=incidence,
-            affinity=affinity,
-            transition=_LazyTransitions(incidence),
-            gram=gram,
         )
 
 
-def _slice_square(
-    matrix: sparse.csr_matrix, rows: np.ndarray, lookup: np.ndarray
-) -> sparse.csr_matrix:
-    """``matrix[rows, :][:, rows]`` with columns renumbered to 0..len(rows).
-
-    *rows* must be sorted unique ordinals and *lookup* the old->new ordinal
-    map (-1 for dropped ordinals); entry order within rows is preserved, so
-    a sorted parent yields a sorted (canonical) slice.
-    """
-    indices, data, _ = _take_rows(matrix, rows)
-    position = lookup[indices]
-    keep = position >= 0
-    counts = matrix.indptr[rows + 1] - matrix.indptr[rows]
-    row_of_entry = np.repeat(
-        np.arange(rows.size, dtype=np.intp), counts.astype(np.intp)
-    )
-    kept_counts = np.bincount(row_of_entry[keep], minlength=rows.size)
-    indptr = np.zeros(rows.size + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(kept_counts, out=indptr[1:])
-    return _raw_csr(
-        data[keep],
-        position[keep].astype(matrix.indices.dtype),
-        indptr,
-        (int(rows.size), int(rows.size)),
-        sorted_indices=bool(matrix.has_sorted_indices),
-    )
-
-
-def _gram_of(incidence: sparse.csr_matrix) -> sparse.csr_matrix:
-    """``W W^T`` in canonical (sorted-indices) CSR form."""
+def _affinity_of(incidence: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``L = D^{-1/2} G D^{-1/2}`` with ``G = W W^T`` and D its row sums."""
     gram = (incidence @ incidence.T).tocsr()
     gram.sort_indices()
-    return gram
-
-
-def _affinity_from_gram(gram: sparse.csr_matrix) -> sparse.csr_matrix:
-    """``L = D^{-1/2} G D^{-1/2}`` with D the row sums of ``G = W W^T``."""
     degrees = _row_sums(gram)
     scale = np.divide(
         1.0, np.sqrt(degrees), out=np.zeros_like(degrees), where=degrees > 0
@@ -335,7 +274,7 @@ def _affinity_from_gram(gram: sparse.csr_matrix) -> sparse.csr_matrix:
         gram.indices,
         gram.indptr,
         gram.shape,
-        sorted_indices=bool(gram.has_sorted_indices),
+        sorted_indices=True,
     )
 
 
@@ -349,25 +288,14 @@ def _transition_of(incidence: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def build_matrices(multibipartite: MultiBipartite) -> BipartiteMatrices:
-    """Compute every matrix of *multibipartite* on its sorted query order."""
+    """The incidences of *multibipartite* on its sorted query order."""
     queries = multibipartite.queries
     query_index = {query: i for i, query in enumerate(queries)}
     incidence: dict[str, sparse.csr_matrix] = {}
-    affinity: dict[str, sparse.csr_matrix] = {}
-    transition: dict[str, sparse.csr_matrix] = {}
-    gram: dict[str, sparse.csr_matrix] = {}
     for kind in BIPARTITE_KINDS:
         matrix, _ = multibipartite.bipartite(kind).to_matrix(query_index)
         matrix.sort_indices()
         incidence[kind] = matrix
-        gram[kind] = _gram_of(matrix)
-        affinity[kind] = _affinity_from_gram(gram[kind])
-        transition[kind] = _transition_of(matrix)
     return BipartiteMatrices(
-        queries=list(queries),
-        query_index=query_index,
-        incidence=incidence,
-        affinity=affinity,
-        transition=transition,
-        gram=gram,
+        queries=list(queries), query_index=query_index, incidence=incidence
     )

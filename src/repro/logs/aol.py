@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable
+from itertools import islice
 from pathlib import Path
 
 from repro.logs.schema import QueryRecord, format_timestamp, parse_timestamp
@@ -66,18 +67,18 @@ def read_aol(
 
     Malformed rows (wrong column count, unparsable timestamp) are skipped —
     the public collection contains a handful of such rows.  ``max_records``
-    truncates the read, which is useful for sampling the 36M-row collection.
+    truncates the read to that many parsed records (0 reads none), which
+    is useful for sampling the 36M-row collection; a negative value raises
+    ``ValueError``.
     """
+    if max_records is not None and max_records < 0:
+        raise ValueError(f"max_records must be >= 0, got {max_records}")
     handle, should_close = _open_text(source, "r")
-    records: list[QueryRecord] = []
     try:
-        for line in handle:
-            record = parse_aol_line(line)
-            if record is None:
-                continue
-            records.append(record)
-            if max_records is not None and len(records) >= max_records:
-                break
+        parsed = map(parse_aol_line, handle)
+        records = list(
+            islice((r for r in parsed if r is not None), max_records)
+        )
     finally:
         if should_close:
             handle.close()

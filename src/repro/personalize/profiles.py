@@ -86,8 +86,6 @@ class ProfileArrays:
             transposed so each block row is one word's K-vector.
         words: Global word vocabulary in id order (the backoff
             tokenization vocab of serving-time queries).
-        tau: Optional ``(D, K, 2)`` per-user Beta time parameters for
-            time-modulated profiles, or ``None``.
         generation: Profile generation ordinal (0 = the batch fit).
     """
 
@@ -99,7 +97,6 @@ class ProfileArrays:
     counts_gids: np.ndarray
     counts: np.ndarray
     words: tuple[str, ...]
-    tau: np.ndarray | None = None
     generation: int = 0
 
     @classmethod
@@ -107,8 +104,7 @@ class ProfileArrays:
         """Pack a fitted *model*'s serving state (generation 0).
 
         The arrays reproduce :meth:`UPM.preference_score` bit for bit
-        through :class:`ArrayProfileStore`; the per-user Beta time
-        parameters are packed when the model trained the temporal channel.
+        through :class:`ArrayProfileStore`.
         """
         corpus = model.corpus
         users = tuple(doc.user_id for doc in corpus.documents)
@@ -122,9 +118,6 @@ class ProfileArrays:
             gid_blocks.append(gids)
             count_blocks.append(counts)
             indptr[d + 1] = indptr[d] + gids.size
-        tau = None
-        if model.config.use_time:
-            tau = np.stack([model.user_tau(user) for user in users])
         return cls(
             users=users,
             theta=model.theta,
@@ -140,7 +133,6 @@ class ProfileArrays:
             counts_gids=np.concatenate(gid_blocks),
             counts=np.concatenate(count_blocks),
             words=tuple(corpus.word_of_id),
-            tau=tau,
         )
 
     @property
@@ -161,7 +153,7 @@ class ProfileArrays:
     @property
     def nbytes(self) -> int:
         """Total numeric payload bytes (excluding the string vocabs)."""
-        total = (
+        return (
             self.theta.nbytes
             + self.theta_weight.nbytes
             + self.beta.nbytes
@@ -169,16 +161,13 @@ class ProfileArrays:
             + self.counts_gids.nbytes
             + self.counts.nbytes
         )
-        if self.tau is not None:
-            total += self.tau.nbytes
-        return total
 
 
 class ArrayProfileStore:
     """Per-user preference scoring over :class:`ProfileArrays`.
 
     The serving surface is ``in`` / ``len`` / ``user_ids`` / ``profile`` /
-    ``user_tau`` / ``score`` / ``score_candidates`` / ``rank_candidates``.
+    ``score`` / ``score_candidates`` / ``rank_candidates``.
     Scoring replicates the exact floating-point op order of
     :meth:`UPM.preference_score` (scatter the sparse counts dense, add
     ``β``, row-normalize, mix by ``θ_d``, mean over the query's word ids),
@@ -201,7 +190,6 @@ class ArrayProfileStore:
         self._gids = arrays.counts_gids
         self._counts = arrays.counts
         self._words = arrays.words
-        self._tau = arrays.tau
         # Documents arrive in sorted user-id order (build_corpus), but the
         # lookup stays correct for any order: sort once, bisect per query.
         order = sorted(range(len(arrays.users)), key=arrays.users.__getitem__)
@@ -271,19 +259,6 @@ class ArrayProfileStore:
         if d < 0:
             raise KeyError(f"no profile for user {user_id!r}")
         return UserProfile(user_id=user_id, theta=self._theta[d])
-
-    def user_tau(self, user_id: str) -> np.ndarray:
-        """Per-user Beta time parameters ``(K, 2)``.
-
-        Raises ``KeyError`` for unknown users and ``ValueError`` when the
-        arrays were packed without the temporal channel.
-        """
-        d = self._doc_of(user_id)
-        if d < 0:
-            raise KeyError(f"no profile for user {user_id!r}")
-        if self._tau is None:
-            raise ValueError("profile arrays were packed without tau")
-        return self._tau[d]
 
     # -- scoring (bit-identical to the UPM path) -------------------------------
 
@@ -478,7 +453,6 @@ class ArrayProfileStore:
                 if count_blocks
                 else np.zeros((0, K))
             ),
-            tau=np.array(self._tau) if self._tau is not None else None,
             generation=(
                 generation
                 if generation is not None

@@ -1,10 +1,10 @@
 """Scale-out serving: zero-copy shared memory + multi-process workers.
 
 :mod:`repro.serve.shm` publishes one generation of the serving plane (the
-CSR incidences/grams, the walk stacks and the vocabularies) into a single
+CSR incidences, the walk stacks and the vocabularies) into a single
 ``multiprocessing`` shared-memory segment; :mod:`repro.serve.profile_plane`
 does the same for the personalization layer (theta profiles, per-user
-topic-word counts, user/word vocabs, optional tau) so workers score
+topic-word counts, user/word vocabs) so workers score
 ``P(q|d)`` zero-copy; :mod:`repro.serve.pool` spawns suggest workers that
 attach read-only views over both, route requests by query hash for cache
 affinity, batch each call into one envelope per worker, answer repeated

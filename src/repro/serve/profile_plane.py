@@ -16,8 +16,7 @@ pipeline across workers; this module does the same for the paper's
 * the user-id vocab blob in document order — **sorted** order, since
   ``build_corpus`` orders documents by user id — so attached stores
   binary-search it per lookup;
-* the word vocab blob (the backoff tokenization vocabulary); and
-* optionally the per-user ``tau`` Beta time parameters.
+* the word vocab blob (the backoff tokenization vocabulary).
 
 Workers attach an :class:`AttachedProfilePlane` and get a read-only
 :class:`~repro.personalize.profiles.ArrayProfileStore` whose numeric
@@ -28,7 +27,8 @@ same arrays, so Borda-fused pooled rankings equal the single-process
 personalized rankings byte for byte.
 
 Layout and lifecycle follow the :class:`~repro.serve.shm.SharedMatrixStore`
-conventions: 64-byte array alignment, a picklable manifest
+conventions, through the same packer and read-only views: 64-byte array
+alignment, a picklable manifest
 (:class:`SharedProfileMeta`) as the only per-generation IPC payload, the
 publisher as the sole party that ever calls :meth:`~SharedProfileStore.unlink`
 (after every worker acks moving off the generation — the pool's
@@ -38,8 +38,6 @@ publisher's ``multiprocessing`` tree.
 
 from __future__ import annotations
 
-import os
-import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -47,11 +45,13 @@ import numpy as np
 
 from repro.personalize.profiles import ArrayProfileStore, ProfileArrays
 from repro.serve.shm import (
-    _ALIGNMENT,
+    _all_shared,
     _ArraySpec,
     _close_attached,
     _decode_vocab,
     _encode_vocab,
+    _pack_segment,
+    _readonly_view,
     _unregister_from_tracker,
 )
 
@@ -80,11 +80,6 @@ class SharedProfileMeta:
     n_words: int
     generation: int
     total_bytes: int
-
-    @property
-    def has_tau(self) -> bool:
-        """Whether per-user Beta time parameters were published."""
-        return "profile.tau" in self.arrays
 
 
 class SharedProfileStore:
@@ -122,7 +117,7 @@ class SharedProfileStore:
             generation = arrays.generation
         users_blob, users_offsets = _encode_vocab(list(arrays.users))
         words_blob, words_offsets = _encode_vocab(list(arrays.words))
-        plan: list[tuple[str, np.ndarray]] = [
+        plan = [
             ("profile.theta", np.ascontiguousarray(arrays.theta)),
             (
                 "profile.theta_weight",
@@ -140,46 +135,9 @@ class SharedProfileStore:
             ("profile.words.blob", words_blob),
             ("profile.words.offsets", words_offsets),
         ]
-        if arrays.tau is not None:
-            plan.append(("profile.tau", np.ascontiguousarray(arrays.tau)))
-        specs: dict[str, _ArraySpec] = {}
-        cursor = 0
-        for name, array in plan:
-            if array.nbytes == 0:
-                # Empty arrays view offset 0 — never past the buffer end.
-                specs[name] = _ArraySpec(
-                    offset=0,
-                    dtype=str(array.dtype),
-                    shape=tuple(int(d) for d in array.shape),
-                )
-                continue
-            cursor = -(-cursor // _ALIGNMENT) * _ALIGNMENT
-            specs[name] = _ArraySpec(
-                offset=cursor,
-                dtype=str(array.dtype),
-                shape=tuple(int(d) for d in array.shape),
-            )
-            cursor += array.nbytes
-        total = max(cursor, 1)
-        name = (
-            f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}-p{generation}"
-        )
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=total
-        )
-        for plan_name, array in plan:
-            if array.nbytes == 0:
-                continue
-            spec = specs[plan_name]
-            view = np.ndarray(
-                spec.shape,
-                dtype=spec.dtype,
-                buffer=segment.buf,
-                offset=spec.offset,
-            )
-            view[...] = array
+        segment, specs, total = _pack_segment(plan, prefix, f"p{generation}")
         meta = SharedProfileMeta(
-            segment=name,
+            segment=segment.name,
             arrays=specs,
             n_users=arrays.n_users,
             n_topics=arrays.n_topics,
@@ -246,15 +204,7 @@ class AttachedProfilePlane:
         self._closed = False
 
         def view(name: str) -> np.ndarray:
-            spec = meta.arrays[name]
-            array = np.ndarray(
-                spec.shape,
-                dtype=spec.dtype,
-                buffer=self._segment.buf,
-                offset=spec.offset,
-            )
-            array.flags.writeable = False
-            return array
+            return _readonly_view(self._segment, meta.arrays[name])
 
         arrays = ProfileArrays(
             users=tuple(
@@ -275,7 +225,6 @@ class AttachedProfilePlane:
                     view("profile.words.offsets"),
                 )
             ),
-            tau=view("profile.tau") if meta.has_tau else None,
             generation=meta.generation,
         )
         self.store = ArrayProfileStore(arrays)
@@ -292,11 +241,6 @@ class AttachedProfilePlane:
 
     def shares_memory(self) -> bool:
         """True when every numeric payload is a view into the segment."""
-        base = np.ndarray(
-            (self._meta.total_bytes,),
-            dtype=np.uint8,
-            buffer=self._segment.buf,
-        )
         arrays = self.store.arrays
         payloads = [
             arrays.theta,
@@ -306,12 +250,7 @@ class AttachedProfilePlane:
             arrays.counts_gids,
             arrays.counts,
         ]
-        if arrays.tau is not None:
-            payloads.append(arrays.tau)
-        return all(
-            payload.nbytes == 0 or np.shares_memory(base, payload)
-            for payload in payloads
-        )
+        return _all_shared(self._segment, self._meta.total_bytes, payloads)
 
     def close(self) -> None:
         """Release the mapping (views must no longer be reachable).

@@ -5,9 +5,10 @@ shared-memory segment holding every array a suggest worker needs to serve
 against one representation generation:
 
 * the CSR parts (``indptr``/``indices``/``data``) of each bipartite's
-  incidence ``W^X`` and gram ``W^X W^{X⊤}`` — everything
+  incidence ``W^X`` — everything
   :meth:`~repro.graphs.matrices.BipartiteMatrices.restrict` touches on the
-  per-request fast path;
+  per-request fast path (each compact gram is the product of its own
+  slice, so no query-by-query matrix is shipped);
 * the expander's factored walk stacks (forward/backward), published
   verbatim so workers skip the per-process re-normalization;
 * the query vocabulary (one UTF-8 blob plus an offsets array) that
@@ -52,12 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graphs.compact import RandomWalkExpander
-from repro.graphs.matrices import (
-    BipartiteMatrices,
-    LazyAffinities,
-    _LazyTransitions,
-    csr_from_parts,
-)
+from repro.graphs.matrices import BipartiteMatrices, csr_from_parts
 from repro.graphs.multibipartite import BIPARTITE_KINDS
 from repro.utils.text import normalize_query
 
@@ -178,36 +174,66 @@ def _term_adjacency(
 
 
 def _pack_segment(
-    plan: list[tuple[str, np.ndarray]], prefix: str, epoch_id: int
+    plan: list[tuple[str, np.ndarray]], prefix: str, tag: str
 ) -> tuple[shared_memory.SharedMemory, dict[str, _ArraySpec], int]:
     """Lay *plan*'s arrays into a fresh named segment, 64-byte aligned.
 
-    Returns ``(segment, specs, total_bytes)``.  The segment name embeds the pid, a random token and *epoch_id*, so
-    concurrent publishers (and generations) never collide.
+    Returns ``(segment, specs, total_bytes)``.  Empty arrays take no space
+    and view offset 0, never past the buffer end.  The segment name embeds
+    the pid, a random token and *tag* (``e<epoch>`` for graph planes,
+    ``p<generation>`` for profile planes), so concurrent publishers,
+    generations and plane kinds never collide.
     """
     specs: dict[str, _ArraySpec] = {}
     cursor = 0
     for name, array in plan:
-        cursor = -(-cursor // _ALIGNMENT) * _ALIGNMENT
+        offset = 0
+        if array.nbytes:
+            offset = cursor = -(-cursor // _ALIGNMENT) * _ALIGNMENT
+            cursor += array.nbytes
         specs[name] = _ArraySpec(
-            offset=cursor,
+            offset=offset,
             dtype=str(array.dtype),
             shape=tuple(int(d) for d in array.shape),
         )
-        cursor += array.nbytes
     total = max(cursor, 1)
-    name = f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}-e{epoch_id}"
+    name = f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}-{tag}"
     segment = shared_memory.SharedMemory(name=name, create=True, size=total)
     for plan_name, array in plan:
-        spec = specs[plan_name]
-        view = np.ndarray(
-            spec.shape,
-            dtype=spec.dtype,
-            buffer=segment.buf,
-            offset=spec.offset,
-        )
-        view[...] = array
+        if array.nbytes:
+            _view(segment, specs[plan_name])[...] = array
     return segment, specs, total
+
+
+def _view(
+    segment: shared_memory.SharedMemory, spec: _ArraySpec
+) -> np.ndarray:
+    """The numpy view of one packed array over *segment*'s buffer."""
+    return np.ndarray(
+        spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset
+    )
+
+
+def _readonly_view(
+    segment: shared_memory.SharedMemory, spec: _ArraySpec
+) -> np.ndarray:
+    """An attacher's read-only view of one packed array."""
+    array = _view(segment, spec)
+    array.flags.writeable = False
+    return array
+
+
+def _all_shared(
+    segment: shared_memory.SharedMemory,
+    total_bytes: int,
+    payloads: list[np.ndarray],
+) -> bool:
+    """True when every non-empty payload is a view into *segment*."""
+    base = np.ndarray((total_bytes,), dtype=np.uint8, buffer=segment.buf)
+    return all(
+        payload.nbytes == 0 or np.shares_memory(base, payload)
+        for payload in payloads
+    )
 
 
 def _unregister_from_tracker(segment: shared_memory.SharedMemory) -> None:
@@ -286,10 +312,6 @@ class SharedMatrixStore:
         pid, a random token and *epoch_id*, so concurrent publishers (and
         generations) never collide.
         """
-        if matrices.gram is None:
-            raise ValueError(
-                "matrices must carry cached grams (build_matrices output)"
-            )
         if expander is None:
             expander = RandomWalkExpander(multibipartite, matrices=matrices)
         plan: list[tuple[str, np.ndarray]] = []
@@ -307,7 +329,6 @@ class SharedMatrixStore:
 
         for kind in BIPARTITE_KINDS:
             add_csr(f"incidence.{kind}", matrices.incidence[kind])
-            add_csr(f"gram.{kind}", matrices.gram[kind])
         forward, backward = expander.walk_stacks
         add_csr("stack.forward", forward.tocsr())
         add_csr("stack.backward", backward.tocsr())
@@ -328,7 +349,7 @@ class SharedMatrixStore:
             plan.append(("terms.offsets", term_offsets))
             plan.extend(term_arrays.items())
 
-        segment, specs, total = _pack_segment(plan, prefix, epoch_id)
+        segment, specs, total = _pack_segment(plan, prefix, f"e{epoch_id}")
         meta = SharedPlaneMeta(
             segment=segment.name,
             arrays=specs,
@@ -480,9 +501,9 @@ class AttachedPlane:
     :func:`_unregister_from_tracker`).
 
     Attributes:
-        matrices: :class:`BipartiteMatrices` whose incidence and gram CSR
-            parts are views into the shared segment (affinity and
-            transition are lazy derivations the hot path never touches).
+        matrices: :class:`BipartiteMatrices` whose incidence CSR parts
+            are views into the shared segment (affinity and transition
+            are lazy derivations the hot path never touches).
         expander: Walk expander over ``matrices`` with the published
             stacks attached (views as well).
         representation: The :class:`SharedRepresentation` handle.
@@ -496,15 +517,7 @@ class AttachedPlane:
         self._closed = False
 
         def view(name: str) -> np.ndarray:
-            spec = meta.arrays[name]
-            array = np.ndarray(
-                spec.shape,
-                dtype=spec.dtype,
-                buffer=self._segment.buf,
-                offset=spec.offset,
-            )
-            array.flags.writeable = False
-            return array
+            return _readonly_view(self._segment, meta.arrays[name])
 
         def csr(name: str) -> sparse.csr_matrix:
             return csr_from_parts(
@@ -519,15 +532,12 @@ class AttachedPlane:
             view("vocab.queries.blob"), view("vocab.queries.offsets")
         )
         query_index = {query: i for i, query in enumerate(queries)}
-        incidence = {kind: csr(f"incidence.{kind}") for kind in BIPARTITE_KINDS}
-        gram = {kind: csr(f"gram.{kind}") for kind in BIPARTITE_KINDS}
         self.matrices = BipartiteMatrices(
             queries=queries,
             query_index=query_index,
-            incidence=incidence,
-            affinity=LazyAffinities(gram),
-            transition=_LazyTransitions(incidence),
-            gram=gram,
+            incidence={
+                kind: csr(f"incidence.{kind}") for kind in BIPARTITE_KINDS
+            },
         )
         term_bipartite = None
         if meta.has_term_index:
@@ -568,17 +578,10 @@ class AttachedPlane:
 
     def shares_memory(self) -> bool:
         """True when every matrix payload is a view into the segment."""
-        base = np.ndarray(
-            (self._meta.total_bytes,),
-            dtype=np.uint8,
-            buffer=self._segment.buf,
-        )
         payloads = [
             self.matrices.incidence[kind].data for kind in BIPARTITE_KINDS
-        ] + [
-            self.matrices.gram[kind].data for kind in BIPARTITE_KINDS
         ] + [stack.data for stack in self.expander.walk_stacks]
-        return all(np.shares_memory(base, payload) for payload in payloads)
+        return _all_shared(self._segment, self._meta.total_bytes, payloads)
 
     def close(self) -> None:
         """Release the mapping (views must no longer be reachable).

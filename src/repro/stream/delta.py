@@ -1,8 +1,8 @@
 """Incremental multi-bipartite updates for streaming log ingestion.
 
 The batch pipeline derives everything from scratch: raw bipartites from the
-log, cfiqf weights (Eqs. 4-6), then the CSR incidence / gram / affinity
-matrices of :func:`repro.graphs.matrices.build_matrices`.  A live suggester
+log, cfiqf weights (Eqs. 4-6), then the CSR incidence matrices of
+:func:`repro.graphs.matrices.build_matrices`.  A live suggester
 cannot afford that per click.  :class:`StreamState` is the writer-side
 mirror of that pipeline: micro-batches of records are folded into the raw
 structures in ``O(batch)`` (:meth:`StreamState.apply`), and an epoch
@@ -15,10 +15,10 @@ snapshot is derived by *patching* the previous epoch's CSR structures
   epoch-level correction: the per-facet iqf factors are recomputed (an
   ``O(n_facets)`` scalar pass) and applied to the raw-count data array in
   one vectorized multiply — never a from-scratch re-walk of the log;
-* the gram/affinity matrices are re-derived from the patched incidence
-  with the exact helpers ``build_matrices`` uses, so every epoch snapshot
-  is **bit-identical** to a batch rebuild over the same record prefix
-  (the equivalence the streaming tests pin down).
+* the snapshot holds only the patched incidences, from which affinities
+  and transitions derive lazily exactly as for ``build_matrices``, so
+  every epoch snapshot is **bit-identical** to a batch rebuild over the
+  same record prefix (the equivalence the streaming tests pin down).
 
 Equivalence requires records to arrive in per-user timestamp order (the
 natural order of a query log); out-of-order arrivals still produce a valid
@@ -33,14 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graphs.bipartite import Bipartite
-from repro.graphs.matrices import (
-    BipartiteMatrices,
-    _affinity_from_gram,
-    _gram_of,
-    _LazyTransitions,
-    _raw_csr,
-    _take_rows,
-)
+from repro.graphs.matrices import BipartiteMatrices, _raw_csr, _take_rows
 from repro.graphs.multibipartite import BIPARTITE_KINDS, MultiBipartite
 from repro.graphs.weighting import iqf
 from repro.logs.schema import QueryRecord
@@ -284,8 +277,8 @@ class StreamState:
 
         The expensive, epoch-granularity step: extends the cumulative log,
         merges new query/facet nodes into the sorted orderings, re-gathers
-        only the touched CSR rows, applies the epoch-level iqf correction,
-        and re-derives gram/affinity from the patched incidence.
+        only the touched CSR rows and applies the epoch-level iqf
+        correction; no query-by-query product is derived.
         """
         self._log = self._log.extend(self._pending)
         self._pending = []
@@ -298,8 +291,6 @@ class StreamState:
         query_index = {query: i for i, query in enumerate(queries)}
 
         incidence: dict[str, sparse.csr_matrix] = {}
-        affinity: dict[str, sparse.csr_matrix] = {}
-        gram: dict[str, sparse.csr_matrix] = {}
         for kind in BIPARTITE_KINDS:
             state = self._kinds[kind]
             facets, old_col_pos = _merge_sorted(
@@ -320,10 +311,9 @@ class StreamState:
             state.facets = facets
             state.new_facets = set()
             state.touched = set()
-            weighted = self._reweight(raw, facets, state.bipartite, total)
-            incidence[kind] = weighted
-            gram[kind] = _gram_of(weighted)
-            affinity[kind] = _affinity_from_gram(gram[kind])
+            incidence[kind] = self._reweight(
+                raw, facets, state.bipartite, total
+            )
 
         self._queries = queries
         touched_queries = frozenset(self._touched)
@@ -332,12 +322,7 @@ class StreamState:
         self._snapshots += 1
 
         matrices = BipartiteMatrices(
-            queries=list(queries),
-            query_index=query_index,
-            incidence=incidence,
-            affinity=affinity,
-            transition=_LazyTransitions(incidence),
-            gram=gram,
+            queries=list(queries), query_index=query_index, incidence=incidence
         )
         multibipartite = MultiBipartite(
             {kind: self._kinds[kind].bipartite for kind in BIPARTITE_KINDS}

@@ -16,7 +16,7 @@ from repro.logs.sessionizer import sessionize
 from repro.synth.generator import GeneratorConfig, generate_log
 from repro.synth.world import make_world
 
-MATRIX_NAMES = ("incidence", "gram", "affinity", "transition")
+MATRIX_NAMES = ("incidence", "affinity", "transition")
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,17 @@ def graph():
     return mb, expander
 
 
-def _restricted_pair(graph, seed_ordinals, size=40):
-    mb, expander = graph
+def _expanded_ordinals(graph, seed_ordinals, size=40):
+    expander = graph[1]
     full = expander.matrices
     seeds = {full.queries[i]: 1.0 for i in seed_ordinals}
     chosen = expander.expand(seeds, CompactConfig(size=size))
-    ordinals = sorted(full.query_index[q] for q in chosen)
+    return sorted(full.query_index[q] for q in chosen)
+
+
+def _restricted_pair(graph, ordinals):
+    mb, expander = graph
+    full = expander.matrices
     fast = full.restrict(ordinals)
     slow = build_matrices(
         mb.restrict_queries([full.queries[i] for i in ordinals])
@@ -48,9 +53,18 @@ class TestFastRestrictEquivalence:
     def test_matrices_identical_over_random_seed_sets(self, graph):
         full = graph[1].matrices
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            picks = rng.choice(full.n_queries, size=3, replace=False)
-            fast, slow = _restricted_pair(graph, [int(i) for i in picks])
+        ordinal_sets = [
+            _expanded_ordinals(
+                graph,
+                [int(i) for i in rng.choice(full.n_queries, 3, replace=False)],
+            )
+            for _ in range(5)
+        ]
+        # A spread-out set whose slices drop many facet columns, so the
+        # compact gram rests on the column renumbering.
+        ordinal_sets.append(list(range(0, full.n_queries, 7)))
+        for ordinals in ordinal_sets:
+            fast, slow = _restricted_pair(graph, ordinals)
             assert fast.queries == slow.queries
             assert fast.query_index == slow.query_index
             for kind in BIPARTITE_KINDS:
@@ -64,28 +78,25 @@ class TestFastRestrictEquivalence:
                     )
 
     def test_restrict_without_cached_gram(self, graph):
-        # Hand-assembled matrices (gram=None) recompute the gram instead
-        # of slicing it; the result must not change.
+        # restrict carries no cached gram: the compact gram is the
+        # product of its own incidence slice, and must equal the
+        # row+column slice of the full W W^T, entry for entry.
         full = graph[1].matrices
-        ordinals = list(range(0, full.n_queries, 7))
-        from repro.graphs.matrices import BipartiteMatrices
-
-        no_gram = BipartiteMatrices(
-            queries=full.queries,
-            query_index=full.query_index,
-            incidence=full.incidence,
-            affinity=full.affinity,
-            transition=full.transition,
-            gram=None,
-        )
-        with_gram = full.restrict(ordinals)
-        without = no_gram.restrict(ordinals)
-        for kind in BIPARTITE_KINDS:
-            for name in MATRIX_NAMES:
-                assert np.array_equal(
-                    getattr(with_gram, name)[kind].toarray(),
-                    getattr(without, name)[kind].toarray(),
-                ), (name, kind)
+        for ordinals in (
+            _expanded_ordinals(graph, [0, 5]),
+            list(range(0, full.n_queries, 7)),
+        ):
+            compact = full.restrict(ordinals)
+            for kind in BIPARTITE_KINDS:
+                w = full.incidence[kind]
+                expected = (w @ w.T).tocsr()[ordinals][:, ordinals]
+                expected.sort_indices()
+                w_c = compact.incidence[kind]
+                got = (w_c @ w_c.T).tocsr()
+                got.sort_indices()
+                assert np.array_equal(got.indptr, expected.indptr), kind
+                assert np.array_equal(got.indices, expected.indices), kind
+                assert np.array_equal(got.data, expected.data), kind
 
     def test_restrict_validates_ordinals(self, graph):
         full = graph[1].matrices
@@ -97,7 +108,7 @@ class TestFastRestrictEquivalence:
             full.restrict([full.n_queries])
 
     def test_restricted_transitions_substochastic(self, graph):
-        fast, _ = _restricted_pair(graph, [0, 5])
+        fast, _ = _restricted_pair(graph, _expanded_ordinals(graph, [0, 5]))
         for kind in BIPARTITE_KINDS:
             sums = np.asarray(fast.transition[kind].sum(axis=1)).ravel()
             assert (sums <= 1.0 + 1e-9).all()

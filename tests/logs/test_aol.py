@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.logs.aol import AOL_HEADER, read_aol, write_aol
 from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
@@ -65,6 +67,19 @@ class TestReadAol:
         write_aol(sample_log(), buffer)
         buffer.seek(0)
         assert len(read_aol(buffer, max_records=2)) == 2
+
+    def test_max_records_zero_reads_nothing(self):
+        buffer = io.StringIO()
+        write_aol(sample_log(), buffer)
+        buffer.seek(0)
+        assert len(read_aol(buffer, max_records=0)) == 0
+
+    def test_negative_max_records_rejected(self):
+        buffer = io.StringIO()
+        write_aol(sample_log(), buffer)
+        buffer.seek(0)
+        with pytest.raises(ValueError, match="max_records"):
+            read_aol(buffer, max_records=-5)
 
     def test_malformed_rows_skipped(self):
         text = "\n".join(

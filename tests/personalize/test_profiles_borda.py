@@ -104,15 +104,11 @@ class TestArrayProfileStore:
                 for query in queries
             }
 
-    def test_profiles_and_tau_round_trip(self, model, store):
+    def test_profiles_round_trip(self, model, store):
         theta = model.theta
         for user_id, d in model.corpus.doc_index.items():
             assert np.array_equal(store.profile(user_id).theta, theta[d])
-            assert np.array_equal(
-                store.user_tau(user_id), model.user_tau(user_id)
-            )
-        for lookup in (store.profile, model.profile_of,
-                       store.user_tau, model.user_tau):
+        for lookup in (store.profile, model.profile_of, model.user_tau):
             with pytest.raises(KeyError):
                 lookup("ghost")
 

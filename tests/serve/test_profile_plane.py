@@ -89,9 +89,6 @@ def test_built_store_scores_like_the_model(profile_store, upm_model):
     for user_id in users:
         d = upm_model.corpus.doc_index[user_id]
         assert np.array_equal(profile_store.profile(user_id).theta, theta[d])
-        assert np.array_equal(
-            profile_store.user_tau(user_id), upm_model.user_tau(user_id)
-        )
         for query in queries:
             assert profile_store.score(
                 user_id, query
@@ -101,7 +98,7 @@ def test_built_store_scores_like_the_model(profile_store, upm_model):
             "ghost", query
         ) == upm_model.preference_score("ghost", query)
     for lookup in (profile_store.profile, upm_model.profile_of,
-                   profile_store.user_tau, upm_model.user_tau):
+                   upm_model.user_tau):
         with pytest.raises(KeyError):
             lookup("ghost")
 

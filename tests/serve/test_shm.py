@@ -29,14 +29,19 @@ class TestRoundTrip:
         assert plane.matrices.queries == original.queries
         assert plane.matrices.query_index == original.query_index
         for kind in BIPARTITE_KINDS:
-            for table in ("incidence", "gram"):
-                ours = getattr(plane.matrices, table)[kind]
-                theirs = getattr(original, table)[kind]
-                assert ours.shape == theirs.shape
-                assert np.array_equal(ours.indptr, theirs.indptr)
-                assert np.array_equal(ours.indices, theirs.indices)
-                assert np.array_equal(ours.data, theirs.data)
+            ours = plane.matrices.incidence[kind]
+            theirs = original.incidence[kind]
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.indptr, theirs.indptr)
+            assert np.array_equal(ours.indices, theirs.indices)
+            assert np.array_equal(ours.data, theirs.data)
         plane.close()
+
+    def test_segment_ships_incidences_but_no_grams(self, store):
+        names = set(store.meta.arrays)
+        assert not [name for name in names if name.startswith("gram.")]
+        for kind in BIPARTITE_KINDS:
+            assert f"incidence.{kind}.data" in names
 
     def test_walk_stacks_identical(self, store, expander):
         plane = attach(store.meta)
@@ -175,10 +180,3 @@ class TestLifecycle:
         plane.close()
         plane.close()
         assert plane.matrices is None
-
-    def test_publish_requires_grams(self, expander):
-        from dataclasses import replace
-
-        stripped = replace(expander.matrices, gram=None)
-        with pytest.raises(ValueError, match="gram"):
-            SharedMatrixStore.publish(stripped, expander)

@@ -89,11 +89,6 @@ class TestMatrixEquivalence:
                 f"incidence[{kind}] batch_size={batch_size}",
             )
             _assert_csr_identical(
-                batch_matrices.gram[kind],
-                stream.gram[kind],
-                f"gram[{kind}] batch_size={batch_size}",
-            )
-            _assert_csr_identical(
                 batch_matrices.affinity[kind],
                 stream.affinity[kind],
                 f"affinity[{kind}] batch_size={batch_size}",
@@ -127,7 +122,7 @@ class TestMatrixEquivalence:
             )
             assert stream.queries == batch.queries, end
             for kind in BIPARTITE_KINDS:
-                for name in ("incidence", "gram", "affinity"):
+                for name in ("incidence", "affinity"):
                     _assert_csr_identical(
                         getattr(batch, name)[kind],
                         getattr(stream, name)[kind],
